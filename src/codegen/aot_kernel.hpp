@@ -4,11 +4,12 @@
 // for the host path): per lowered plan we emit one C translation unit with
 // every geometric constant baked in — extents, halo, padded strides, ring
 // window — and the stencil's full linear term list unrolled as straight-
-// line accumulation statements.  Unlike the in-process sweep engine, whose
-// fixed-term kernels stop at kMaxFixedTerms and whose fused form stops at
-// kFusedTermLimit streams, the emitted kernel has no term cap: a 242-term
-// 2d121pt_box becomes 242 constant-offset loads the host cc can schedule
-// with full knowledge of the deltas.
+// line accumulation statements.  The in-process sweep engine compiles a
+// fused kernel per term count only up to kFusedTermLimit and runs wider
+// stencils through one register-blocked kernel with a runtime term count;
+// the emitted kernel instead bakes in every term: a 242-term 2d121pt_box
+// becomes 242 constant-offset loads the host cc can schedule with full
+// knowledge of the deltas.
 //
 // Numerics contract (bit-identity with exec::detail::sweep_point_linear):
 // each output element starts from `double acc = 0.0`, accumulates its

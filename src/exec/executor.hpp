@@ -77,11 +77,12 @@ class CancelGuard {
   CancelGuard(GridStorage<T>& state, const CancelToken* cancel) {
     if (cancel == nullptr) return;
     state_ = &state;
+    // Append-copy rather than resize-then-copy: resize would zero-fill the
+    // whole snapshot first, a second pass over it on every armed run.
     const auto per_slot = static_cast<std::size_t>(state.padded_points());
-    backup_.resize(static_cast<std::size_t>(state.slots()) * per_slot);
+    backup_.reserve(static_cast<std::size_t>(state.slots()) * per_slot);
     for (int s = 0; s < state.slots(); ++s)
-      std::copy_n(state.slot_data(s), per_slot,
-                  backup_.data() + static_cast<std::size_t>(s) * per_slot);
+      backup_.insert(backup_.end(), state.slot_data(s), state.slot_data(s) + per_slot);
   }
 
   /// Restores every slot from the entry snapshot.  No-op when unarmed.

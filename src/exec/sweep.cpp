@@ -1,6 +1,8 @@
 #include "exec/sweep.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 
 #include "ir/type.hpp"
 #include "prof/flight.hpp"
@@ -162,17 +164,76 @@ SweepPlan full_sweep(int ndim, std::array<std::int64_t, 3> extent) {
 // in consumer TUs that also instantiate the interpreter.
 
 namespace detail {
+namespace {
+
+/// Blocked kernel, any term count: a row runs in blocks of kBlockVectors x 4
+/// points held in that many independent 4-wide double accumulators.  Terms
+/// are the outer loop (one broadcast, then a load, mul and add per
+/// accumulator), so each point's serial add chain interleaves with
+/// kBlockVectors - 1 others instead of waiting out the add latency.  Each
+/// point still computes 0.0 + c0*x0 + c1*x1 + ... in term order, one IEEE
+/// mul and add per term (-ffp-contract=off here): bit-identical to
+/// sweep_point_linear.  Rows end in single-vector steps and a scalar tail of
+/// < 4 points.  Measured on a 4-vCPU AVX2 Xeon, 242 terms: 4 vectors ~35,
+/// 6 ~43, 8 ~45 Mpt/s (the scalar loop this replaced: ~5); 8 is also best
+/// or tied at 18-32 terms.
+using f64x4 = double __attribute__((vector_size(32)));
+using f32x4 = float __attribute__((vector_size(16)));
+template <typename T>
+using Lanes4 = std::conditional_t<std::is_same_v<T, float>, f32x4, f64x4>;
+constexpr int kBlockVectors = 8;
+
+/// Widens 4 lanes to double exactly; element-wise because GCC 12 splits a
+/// float __builtin_convertvector in halves, while this is one vcvtps2pd.
+template <typename T>
+inline f64x4 load4(const T* p) {
+  Lanes4<T> v;
+  std::memcpy(&v, p, sizeof v);
+  return f64x4{v[0], v[1], v[2], v[3]};
+}
+
+/// `nv` accumulators over the 4 * nv points at `at`; returns the next index.
+template <int nv, typename T>
+inline std::int64_t sweep_block(T* o, std::int64_t at,
+                                const std::vector<ResolvedTerm<T>>& terms) {
+  f64x4 acc[nv] = {};
+  for (std::size_t k = 0; k < terms.size(); ++k) {
+    const double ck = terms[k].coeff;
+    const f64x4 c = {ck, ck, ck, ck};
+    const T* p = terms[k].src + terms[k].delta + at;
+#pragma GCC unroll 16
+    for (int v = 0; v < nv; ++v) acc[v] = acc[v] + c * load4(p + 4 * v);
+  }
+#pragma GCC unroll 16
+  for (int v = 0; v < nv; ++v) {
+    const auto out = __builtin_convertvector(acc[v], Lanes4<T>);  // rounds like static_cast
+    std::memcpy(o + at + 4 * v, &out, sizeof out);
+  }
+  return at + 4 * nv;
+}
+
+template <typename T>
+void sweep_row_blocked(T* out, std::int64_t base, std::int64_t n,
+                       const std::vector<ResolvedTerm<T>>& terms) {
+  const std::int64_t end = base + n;
+  std::int64_t i = base;
+  while (i + 4 * kBlockVectors <= end) i = sweep_block<kBlockVectors>(out, i, terms);
+  while (i + 4 <= end) i = sweep_block<1>(out, i, terms);
+  for (; i < end; ++i) sweep_point_linear(out, i, terms);
+}
+
+}  // namespace
 
 template <typename T>
 void sweep_row(T* out, std::int64_t base, std::int64_t n,
                const std::vector<ResolvedTerm<T>>& terms) {
   static constexpr auto kTable =
-      make_row_table<T>(std::make_index_sequence<kMaxFixedTerms>{});
+      make_row_table<T>(std::make_index_sequence<kFusedTermLimit>{});
   const std::size_t nt = terms.size();
-  if (nt - 1 < kMaxFixedTerms) {
+  if (nt - 1 < kFusedTermLimit) {
     kTable[nt - 1](out, base, n, terms.data());
   } else {
-    sweep_row_generic(out, base, n, terms);
+    sweep_row_blocked(out, base, n, terms);
   }
 }
 

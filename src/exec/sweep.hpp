@@ -12,11 +12,12 @@
 //                      remainder tiles are clamped here, not per iteration)
 //   resolve_terms    — LinearKernel x GridStorage -> per-term base pointer
 //                      + linear delta for one output timestep
-//   run_sweep        — sweeps every tile; rows dispatch to term-count-
-//                      templated inner kernels (1..8 terms fully unrolled,
-//                      generic fallback above), parallel tiles chunked over
-//                      the process pool with per-thread stats merged once
-//                      at the end (no shared-counter contention).
+//   run_sweep        — sweeps every tile; rows dispatch on the term count
+//                      to fused compile-time kernels (1..16 terms) or one
+//                      register-blocked SIMD kernel (more terms), parallel
+//                      tiles chunked over the process pool with per-thread
+//                      stats merged once at the end (no shared-counter
+//                      contention).
 //
 // Numerics are bit-identical to the retired per-point interpreter: each
 // output element accumulates its terms in the same order with the same
@@ -25,7 +26,6 @@
 // the spatial visit order cannot change any value.  The conformance harness
 // (src/check) pins this against golden snapshots.
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <mutex>
@@ -147,40 +147,21 @@ inline void sweep_point_linear(T* out_base, std::int64_t out_idx,
 /// Fused per-point accumulation keeps one register per term stream; past
 /// ~16 streams the vectorizer runs out and falls back to near-scalar code
 /// (measured cliff: 566 → 118 Mpt/s between N=16 and N=17 on the build
-/// host).  Wider kernels instead accumulate through an in-L1 row buffer,
-/// one clean two-stream axpy loop per term.
+/// host).  Wider stencils run sweep.cpp's register-blocked row kernel.
 inline constexpr std::size_t kFusedTermLimit = 16;
-inline constexpr std::int64_t kSweepChunk = 256;
 
-/// Computes `n` contiguous outputs at `o` from per-term row pointers.
-/// Both formulations accumulate each point's terms in k order through an
-/// exact double, so results are bit-identical to sweep_point_linear.
+/// Computes `n` contiguous outputs at `o` from per-term row pointers,
+/// accumulating each point's terms in k order through an exact double, so
+/// results are bit-identical to sweep_point_linear.
 template <typename T, std::size_t N>
 inline void sweep_span_fixed(T* o, const std::array<const T*, N>& src,
                              const std::array<double, N>& coeff, std::int64_t n) {
-  if constexpr (N <= kFusedTermLimit) {
-    MSC_SWEEP_IVDEP
-    for (std::int64_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < N; ++k)
-        acc += coeff[k] * static_cast<double>(src[k][i]);
-      o[i] = static_cast<T>(acc);
-    }
-  } else {
-    double buf[kSweepChunk];
-    for (std::int64_t at = 0; at < n; at += kSweepChunk) {
-      const std::int64_t m = std::min<std::int64_t>(kSweepChunk, n - at);
-      MSC_SWEEP_IVDEP
-      for (std::int64_t i = 0; i < m; ++i)
-        buf[i] = coeff[0] * static_cast<double>(src[0][at + i]);
-      for (std::size_t k = 1; k < N; ++k) {
-        MSC_SWEEP_IVDEP
-        for (std::int64_t i = 0; i < m; ++i)
-          buf[i] += coeff[k] * static_cast<double>(src[k][at + i]);
-      }
-      MSC_SWEEP_IVDEP
-      for (std::int64_t i = 0; i < m; ++i) o[at + i] = static_cast<T>(buf[i]);
-    }
+  MSC_SWEEP_IVDEP
+  for (std::int64_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < N; ++k)
+      acc += coeff[k] * static_cast<double>(src[k][i]);
+    o[i] = static_cast<T>(acc);
   }
 }
 
@@ -201,45 +182,6 @@ inline void sweep_row_fixed(T* out, std::int64_t base, std::int64_t n,
   sweep_span_fixed<T, N>(out + base, src, coeff, n);
 }
 
-/// Generic fallback for stencils with more than 8 terms.  The term base
-/// pointers and coefficients are still hoisted out of the i-loop — into
-/// thread-local flat arrays reused across rows — so the per-point cost is
-/// the same loads-and-fmas as the fixed kernels, just with a runtime trip
-/// count (roughly 7x the naive read-the-struct-per-point loop this
-/// replaced).
-template <typename T>
-inline void sweep_row_generic(T* out, std::int64_t base, std::int64_t n,
-                              const std::vector<ResolvedTerm<T>>& terms) {
-  static thread_local std::vector<const T*> src_buf;
-  static thread_local std::vector<double> coeff_buf;
-  const std::size_t nt = terms.size();
-  if (src_buf.size() < nt) {
-    src_buf.resize(nt);
-    coeff_buf.resize(nt);
-  }
-  const T** src = src_buf.data();
-  double* coeff = coeff_buf.data();
-  for (std::size_t k = 0; k < nt; ++k) {
-    src[k] = terms[k].src + base + terms[k].delta;
-    coeff[k] = terms[k].coeff;
-  }
-  T* o = out + base;
-  MSC_SWEEP_IVDEP
-  for (std::int64_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t k = 0; k < nt; ++k)
-      acc += coeff[k] * static_cast<double>(src[k][i]);
-    o[i] = static_cast<T>(acc);
-  }
-}
-
-/// Term counts with a dedicated fully-unrolled kernel.  32 covers every
-/// (time term x offset) combination of the standard workloads up to
-/// 3d13pt_star with a two-deep time window (a compile-time trip count is
-/// worth ~3x over the runtime loop: the compiler unrolls and pipelines the
-/// term accumulation instead of looping over it per point).
-inline constexpr std::size_t kMaxFixedTerms = 32;
-
 template <typename T>
 using RowFn = void (*)(T*, std::int64_t, std::int64_t, const ResolvedTerm<T>*);
 
@@ -249,7 +191,8 @@ constexpr std::array<RowFn<T>, sizeof...(I)> make_row_table(std::index_sequence<
 }
 
 /// Sweeps one contiguous row of `n` outputs starting at linear index
-/// `base`, dispatching on the term count.  Defined out of line (sweep.cpp)
+/// `base`: the fused kernels up to kFusedTermLimit terms, the
+/// register-blocked kernel above.  Defined out of line (sweep.cpp)
 /// so the unrolled kernels are compiled exactly once, in a translation
 /// unit that holds nothing else hot — GCC's unrolling and SLP budgets are
 /// per-TU, and header-inlined copies came out measurably worse in TUs
@@ -327,36 +270,32 @@ constexpr std::array<TileFn<T>, sizeof...(I)> make_tile_table(std::index_sequenc
 }
 
 /// Sweeps every row of one tile, dispatching once per tile on the term
-/// count (1..kMaxFixedTerms get a fully-unrolled kernel).
+/// count (1..kFusedTermLimit get a fully-unrolled kernel).
 template <typename T>
 inline void sweep_tile(const SweepTile& tile, const GridStorage<T>& state, T* out,
                        const std::vector<ResolvedTerm<T>>& terms, SweepStats& stats) {
   static constexpr auto kTable =
-      make_tile_table<T>(std::make_index_sequence<kMaxFixedTerms>{});
+      make_tile_table<T>(std::make_index_sequence<kFusedTermLimit>{});
   const auto last = static_cast<std::size_t>(state.ndim() - 1);
   const std::int64_t n = tile.hi[last] - tile.lo[last];
   if (n <= 0) return;
   const std::size_t nt = terms.size();
-  if (nt - 1 < kMaxFixedTerms) {
+  if (nt - 1 < kFusedTermLimit) {
     kTable[nt - 1](tile, state, out, terms, stats, n);
   } else {
     tile_rows(tile, state, n, stats,
-              [&](std::int64_t base) { sweep_row_generic(out, base, n, terms); });
+              [&](std::int64_t base) { sweep_row(out, base, n, terms); });
   }
 }
 
 }  // namespace detail
 
 /// Which inner-kernel family a term count routes to in the sweep engine:
-/// "fused" (one register stream per term, <= kFusedTermLimit), "chunked"
-/// (in-L1 row-buffer axpy passes, <= kMaxFixedTerms), or "generic" (the
-/// runtime-trip fallback above that).  Exists so tests can pin the >16-term
-/// cliff — programs like 2d121pt_box (242 terms) must route "generic" here
-/// and take the AOT dlopen backend for specialized code.
+/// "fused" (one register stream per term, <= kFusedTermLimit) or "blocked"
+/// (the register-blocked kernel above that).  Exists so tests can pin the
+/// switch.
 inline const char* sweep_route(std::size_t nterms) {
-  if (nterms <= detail::kFusedTermLimit) return "fused";
-  if (nterms <= detail::kMaxFixedTerms) return "chunked";
-  return "generic";
+  return nterms <= detail::kFusedTermLimit ? "fused" : "blocked";
 }
 
 /// Resolves every LinearKernel term against the grid's ring slots for

@@ -1,7 +1,7 @@
 // Tests of the AOT dlopen host backend: term-count routing pins, the
 // specialized emitter's full-unroll contract, bit-identity against the
-// in-process sweep engine (including >16-term box stencils the sweep can
-// only run through its generic path), the compile cache's hit/stale/evict
+// in-process sweep engine (including >16-term stencils the sweep runs
+// through its register-blocked kernel), the compile cache's hit/stale/evict
 // behavior, dlclose discipline, and the graceful no-compiler fallback.
 
 #include <gtest/gtest.h>
@@ -54,27 +54,26 @@ std::unique_ptr<dsl::Program> small_benchmark(const std::string& name) {
 // ---- routing pins --------------------------------------------------------
 
 TEST(AotRouting, SweepRoutePinsTermLimits) {
-  // Regression pin for the sweep engine's routing thresholds: the fused
-  // kernels stop at 16 term streams, the chunked row-buffer form at 32,
-  // and everything beyond interprets the term list (generic).  The AOT
-  // backend exists exactly for that third band.
+  // Regression pin for the sweep engine's routing threshold: the fused
+  // kernels stop at 16 term streams; every wider stencil runs the one
+  // register-blocked kernel, whatever its term count.
   EXPECT_STREQ(sweep_route(1), "fused");
   EXPECT_STREQ(sweep_route(16), "fused");
-  EXPECT_STREQ(sweep_route(17), "chunked");
-  EXPECT_STREQ(sweep_route(32), "chunked");
-  EXPECT_STREQ(sweep_route(33), "generic");
-  EXPECT_STREQ(sweep_route(242), "generic");
+  EXPECT_STREQ(sweep_route(17), "blocked");
+  EXPECT_STREQ(sweep_route(32), "blocked");
+  EXPECT_STREQ(sweep_route(33), "blocked");
+  EXPECT_STREQ(sweep_route(242), "blocked");
 }
 
 TEST(AotRouting, BigBoxStencilExceedsEveryFixedTermKernel) {
   // 2d121pt_box: 121 spatial points x 2 time dependencies = 242 linear
-  // terms — far past both sweep caps, so the in-process engine must route
-  // it generic while the AOT module unrolls it fully.
+  // terms — far past the fused cap, so the in-process engine must route it
+  // to the blocked kernel while the AOT module unrolls it fully.
   auto prog = small_benchmark("2d121pt_box");
   const auto lin = linearize_stencil(prog->stencil(), prog->bindings());
   ASSERT_TRUE(lin.has_value());
   EXPECT_EQ(lin->terms.size(), 242u);
-  EXPECT_STREQ(sweep_route(lin->terms.size()), "generic");
+  EXPECT_STREQ(sweep_route(lin->terms.size()), "blocked");
 }
 
 TEST(AotRouting, AotOracleIsRegistered) {
@@ -156,11 +155,11 @@ void expect_aot_bit_identical(const std::string& bench, std::int64_t steps,
 TEST(AotBackend, BitIdenticalToSweepAcrossRoutingBands) {
   if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
   const std::string dir = scratch_dir("msc_aot_test_bits");
-  // One benchmark per sweep routing band: fused (<=16 terms), chunked
-  // (<=32) and generic (the 242-term box the AOT path is for).
+  // Both sweep routing bands: fused (<=16 terms) and blocked, at a modest
+  // and at the largest term count of the standard workloads.
   expect_aot_bit_identical("3d7pt_star", 4, dir);    // 14 terms  -> fused
-  expect_aot_bit_identical("3d13pt_star", 4, dir);   // 26 terms  -> chunked
-  expect_aot_bit_identical("2d121pt_box", 3, dir);   // 242 terms -> generic
+  expect_aot_bit_identical("3d13pt_star", 4, dir);   // 26 terms  -> blocked
+  expect_aot_bit_identical("2d121pt_box", 3, dir);   // 242 terms -> blocked
 }
 
 TEST(AotBackend, BitIdenticalWithTimeTiledSchedule) {

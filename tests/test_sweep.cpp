@@ -1,7 +1,7 @@
 // Unit + differential tests of the compiled row-sweep engine (exec/sweep):
 // lowering coverage/clamping, bit-exact agreement between the retired
 // per-point interpreter and the compiled sweep across random conformance
-// cases, the wide-kernel (row-accumulator) formulation, and the row-based
+// cases, the wide-stencil (register-blocked) row kernel, and the row-based
 // grid primitives' order guarantees.
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "exec/sweep.hpp"
 #include "exec/temporal_sweep.hpp"
 #include "support/rng.hpp"
+#include "workload/stencils.hpp"
 
 namespace msc::exec {
 namespace {
@@ -243,28 +245,73 @@ TEST(TemporalGoldenPin, EngineMatchesCommittedChecksums) {
   EXPECT_EQ(want, lines) << "numeric drift against the committed temporal pin";
 }
 
-// ---- wide kernels (row-accumulator formulation) --------------------------
+// ---- wide kernels (register-blocked formulation) -------------------------
 
-// Past kFusedTermLimit the span kernel switches to per-term accumulation
-// through an in-L1 buffer; results must still match the per-point
-// interpreter bit for bit.
-TEST(SweepRow, WideTermCountsMatchPointLoopBitwise) {
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Past kFusedTermLimit a row runs the register-blocked kernel: blocks of
+// vector accumulators, then single-vector steps, then a scalar tail.  Every
+// term count and row length below (odd bases, so rows start unaligned) must
+// match the per-point loop bit for bit and write nothing outside the row.
+template <typename T>
+void expect_wide_rows_match_point_loop() {
   Rng rng(123);
-  const std::int64_t n = 300;  // > kSweepChunk to exercise chunking
-  std::vector<double> backing(2048);
-  for (auto& v : backing) v = rng.next_real(-1.0, 1.0);
+  std::vector<T> backing(2048);
+  for (auto& v : backing) v = static_cast<T>(rng.next_real(-1.0, 1.0));
+  const T sentinel = static_cast<T>(-7.0);
 
-  for (std::size_t nt : {1u, 7u, 16u, 17u, 18u, 31u, 32u, 40u}) {
-    std::vector<detail::ResolvedTerm<double>> terms;
+  for (std::size_t nt : {1u, 7u, 16u, 17u, 18u, 31u, 32u, 33u, 40u, 121u, 242u}) {
+    std::vector<detail::ResolvedTerm<T>> terms;
     for (std::size_t k = 0; k < nt; ++k)
-      terms.push_back({rng.next_real(-1.0, 1.0), static_cast<std::int64_t>(k % 5),
+      terms.push_back({rng.next_real(-1.0, 1.0), static_cast<std::int64_t>(k % 11) - 5,
                        backing.data() + 64 + 13 * static_cast<std::int64_t>(k % 9)});
-    std::vector<double> a(1024, 0.0), b(1024, 0.0);
-    detail::sweep_row(a.data(), 8, n, terms);
-    for (std::int64_t i = 0; i < n; ++i) detail::sweep_point_linear(b.data(), 8 + i, terms);
-    for (std::int64_t i = 0; i < n + 16; ++i)
-      ASSERT_EQ(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)])
-          << "nt=" << nt << " i=" << i;
+    for (std::int64_t n : {1, 3, 4, 5, 15, 16, 17, 31, 33, 300}) {
+      for (std::int64_t base : {7, 13}) {
+        std::vector<T> a(512, sentinel), b(512, sentinel);
+        detail::sweep_row(a.data(), base, n, terms);
+        for (std::int64_t i = 0; i < n; ++i) detail::sweep_point_linear(b.data(), base + i, terms);
+        ASSERT_TRUE(same_bits(a, b)) << "nt=" << nt << " n=" << n << " base=" << base;
+        ASSERT_EQ(a[static_cast<std::size_t>(base + n)], sentinel) << "wrote past n";
+      }
+    }
+  }
+}
+
+TEST(SweepRow, WideTermCountsMatchPointLoopBitwise) {
+  expect_wide_rows_match_point_loop<double>();
+  expect_wide_rows_match_point_loop<float>();
+}
+
+// 2d121pt_box (242 terms) on an odd 37x53 extent, so every 53-point row
+// runs a full block, single-vector steps and a scalar tail: the parallel
+// sweep and the wedge engine must both reproduce the per-point interpreter
+// bit for bit.
+TEST(SweepVsInterpreter, BigBoxOddExtentBitIdentical) {
+  auto prog = workload::make_program(workload::benchmark("2d121pt_box"), ir::DataType::f64,
+                                     {37, 53, 0});
+  prog->primary_kernel().parallel("j", 4);
+  const auto& st = prog->stencil();
+  const auto& sched = prog->primary_schedule();
+  ASSERT_STREQ(sweep_route(linearize_stencil(st, prog->bindings())->terms.size()), "blocked");
+
+  const std::int64_t steps = 3;
+  GridStorage<double> gi(st.state());
+  for (int s = 0; s < gi.slots(); ++s) gi.fill_random(s, 77 + static_cast<std::uint64_t>(s));
+  GridStorage<double> gs(gi), gt(gi);
+  run_scheduled_interpreted(st, sched, gi, 1, steps, Boundary::ZeroHalo, prog->bindings());
+  run_scheduled(st, sched, gs, 1, steps, Boundary::ZeroHalo, prog->bindings());
+  TemporalOptions opts;
+  opts.wedge_depth = 2;
+  TemporalExecInfo info;
+  run_scheduled_temporal(st, sched, gt, 1, steps, Boundary::ZeroHalo, prog->bindings(), nullptr,
+                         &info, opts);
+  ASSERT_TRUE(info.temporal) << info.fallback_reason;
+  for (int s = 0; s < gi.slots(); ++s) {
+    EXPECT_TRUE(same_bits(gi.interior_values(s), gs.interior_values(s))) << "sweep slot " << s;
+    EXPECT_TRUE(same_bits(gi.interior_values(s), gt.interior_values(s))) << "wedge slot " << s;
   }
 }
 
