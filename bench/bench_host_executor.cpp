@@ -27,7 +27,7 @@ namespace {
 using namespace msc;
 
 constexpr std::int64_t kSteps = 4;   // timesteps per measured repetition
-constexpr int kReps = 5;             // best-of to shed scheduler noise
+constexpr int kReps = 5;             // best-of per arm to shed scheduler noise
 
 struct Measured {
   double interpreted_pps = 0.0;
@@ -54,15 +54,12 @@ double now_seconds() {
       .count();
 }
 
+/// Runs `fn` once and keeps the faster of its time and `best`.
 template <typename Fn>
-double best_of(Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < kReps; ++r) {
-    const double t0 = now_seconds();
-    fn();
-    best = std::min(best, now_seconds() - t0);
-  }
-  return best;
+void time_into(double& best, Fn&& fn) {
+  const double t0 = now_seconds();
+  fn();
+  best = std::min(best, now_seconds() - t0);
 }
 
 Measured measure(const workload::BenchmarkInfo& info, std::array<std::int64_t, 3> grid,
@@ -93,14 +90,19 @@ Measured measure(const workload::BenchmarkInfo& info, std::array<std::int64_t, 3
   exec::run_scheduled(st, sched, g, 1, 1, exec::Boundary::ZeroHalo);
   exec::run_reference(st, g, 1, 1, exec::Boundary::ZeroHalo);
 
+  // Interleaved arms: every rep runs interpreter -> compiled -> reference,
+  // so a noisy neighbour or a clock change lands on all three alike instead
+  // of on whichever arm happened to be timing; each arm keeps its best rep.
   Measured m;
-  const double ti = best_of([&] {
-    exec::run_scheduled_interpreted(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
-  });
-  const double tc = best_of(
-      [&] { exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo); });
-  const double tr =
-      best_of([&] { exec::run_reference(st, g, 1, kSteps, exec::Boundary::ZeroHalo); });
+  double ti = 1e300, tc = 1e300, tr = 1e300;
+  for (int r = 0; r < kReps; ++r) {
+    time_into(ti, [&] {
+      exec::run_scheduled_interpreted(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
+    });
+    time_into(tc,
+              [&] { exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo); });
+    time_into(tr, [&] { exec::run_reference(st, g, 1, kSteps, exec::Boundary::ZeroHalo); });
+  }
   m.interpreted_pps = points / ti;
   m.compiled_pps = points / tc;
   m.reference_pps = points / tr;

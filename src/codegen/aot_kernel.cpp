@@ -1,8 +1,12 @@
 #include "codegen/aot_kernel.hpp"
 
-#include <set>
+#include <cstddef>
+#include <functional>
+#include <map>
+#include <type_traits>
 
 #include "codegen/emitter.hpp"
+#include "exec/sweep.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -10,80 +14,32 @@ namespace msc::codegen {
 
 namespace {
 
-/// Distinct time offsets read by the term list, most recent first
-/// (matches the in_m1/in_m2 naming of the portable backends).
-std::vector<int> read_offsets(const AotKernelSpec& spec) {
-  std::set<int> s;
-  for (const auto& term : spec.terms) s.insert(term.time_offset);
-  return {s.rbegin(), s.rend()};
-}
+// The emitted `struct msc_term` is exec::detail::ResolvedTerm<T> seen from
+// C: { double coeff; int64_t delta; const T *src; }.  The kernel reads
+// `src` at this offset, so any change to ResolvedTerm is an ABI change.
+template <typename T>
+constexpr bool kResolvedTermIsMscTerm =
+    std::is_standard_layout_v<exec::detail::ResolvedTerm<T>> &&
+    sizeof(exec::detail::ResolvedTerm<T>) == 24 &&
+    offsetof(exec::detail::ResolvedTerm<T>, coeff) == 0 &&
+    offsetof(exec::detail::ResolvedTerm<T>, delta) == 8 &&
+    offsetof(exec::detail::ResolvedTerm<T>, src) == 16;
+static_assert(kResolvedTermIsMscTerm<double>, "ResolvedTerm<double> no longer matches msc_term");
+static_assert(kResolvedTermIsMscTerm<float>, "ResolvedTerm<float> no longer matches msc_term");
 
 std::string in_name(int toff) { return "in_m" + std::to_string(-toff); }
 
-/// "x - 4231" / "x + 17" / "x" — the term's constant linear delta applied
+/// "i - 4231" / "i + 17" / "i" — the term's constant linear delta applied
 /// to the row index variable.
 std::string index_expr(std::int64_t delta) {
-  if (delta == 0) return "x";
-  if (delta < 0) return strprintf("x - %lld", static_cast<long long>(-delta));
-  return strprintf("x + %lld", static_cast<long long>(delta));
-}
-
-/// Emits the per-step sweep function: constant-bound loops, the full term
-/// list unrolled into straight-line accumulation statements.
-void emit_step(Emitter& e, const AotKernelSpec& spec,
-               const std::array<std::int64_t, 3>& stride) {
-  const std::string& ty = spec.elem_c_type;
-  const auto offs = read_offsets(spec);
-
-  std::string sig = strprintf("static void msc_aot_step(%s *restrict out", ty.c_str());
-  for (int toff : offs)
-    sig += strprintf(", const %s *restrict %s", ty.c_str(), in_name(toff).c_str());
-  sig += ")";
-  e.open(sig);
-
-  // Outer loops over the non-contiguous dims; the row base index folds the
-  // halo shift of every dim (including the unit-stride one) into `base`.
-  std::string base = std::to_string(static_cast<long long>(spec.halo));
-  static const char* kVar[3] = {"c0", "c1", "c2"};
-  for (int d = 0; d + 1 < spec.ndim; ++d) {
-    e.open(strprintf("for (long %s = 0; %s < %lldL; ++%s)", kVar[d], kVar[d],
-                     static_cast<long long>(spec.extent[static_cast<std::size_t>(d)]),
-                     kVar[d]));
-    base += strprintf(" + (%s + %lldL) * %lldL", kVar[d], static_cast<long long>(spec.halo),
-                      static_cast<long long>(stride[static_cast<std::size_t>(d)]));
-  }
-  e.line(strprintf("const long base = %s;", base.c_str()));
-  e.line("#pragma GCC ivdep");
-  const std::int64_t row = spec.extent[static_cast<std::size_t>(spec.ndim - 1)];
-  e.open(strprintf("for (long i = 0; i < %lldL; ++i)", static_cast<long long>(row)));
-  e.line("const long x = base + i;");
-  e.line("double acc = 0.0;");
-  for (const auto& term : spec.terms) {
-    std::int64_t delta = 0;
-    for (int d = 0; d < spec.ndim; ++d)
-      delta += term.offset[static_cast<std::size_t>(d)] * stride[static_cast<std::size_t>(d)];
-    e.line(strprintf("acc += %.17g * (double)%s[%s];", term.coeff,
-                     in_name(term.time_offset).c_str(), index_expr(delta).c_str()));
-  }
-  e.line(strprintf("out[x] = (%s)acc;", ty.c_str()));
-  e.close();  // i
-  for (int d = 0; d + 1 < spec.ndim; ++d) e.close();
-  e.close();  // function
-  e.line();
-}
-
-/// One msc_aot_step call at timestep expression `t_expr`.
-std::string step_call(const AotKernelSpec& spec, const std::string& t_expr) {
-  std::string call = strprintf("msc_aot_step(slots[MSC_SLOT(%s)]", t_expr.c_str());
-  for (int toff : read_offsets(spec))
-    call += strprintf(", slots[MSC_SLOT((%s) + (%d))]", t_expr.c_str(), toff);
-  return call + ");";
+  if (delta == 0) return "i";
+  if (delta < 0) return strprintf("i - %lld", static_cast<long long>(-delta));
+  return strprintf("i + %lld", static_cast<long long>(delta));
 }
 
 }  // namespace
 
-AotKernelSpec make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& sched,
-                            const exec::LinearKernel& lin) {
+AotKernelSpec make_aot_spec(const ir::StencilDef& st, const exec::LinearKernel& lin) {
   AotKernelSpec spec;
   spec.name = st.name();
   spec.elem_c_type = ir::dtype_c_name(st.state()->dtype());
@@ -91,8 +47,6 @@ AotKernelSpec make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& 
   for (int d = 0; d < spec.ndim; ++d)
     spec.extent[static_cast<std::size_t>(d)] = st.state()->extent(d);
   spec.halo = st.state()->halo();
-  spec.window = st.time_window();
-  spec.time_depth = std::max<std::int64_t>(1, sched.time_tile_depth());
   spec.terms = lin.terms;
   MSC_CHECK(!spec.terms.empty()) << "AOT kernel spec needs at least one linear term";
   return spec;
@@ -100,6 +54,7 @@ AotKernelSpec make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& 
 
 std::string gen_aot_kernel(const AotKernelSpec& spec) {
   MSC_CHECK(spec.ndim >= 1 && spec.ndim <= 3) << "AOT kernels are rank 1-3";
+  const std::string& ty = spec.elem_c_type;
 
   // Compile-time padded row-major strides, identical to GridStorage's.
   std::array<std::int64_t, 3> stride{0, 0, 0};
@@ -108,55 +63,61 @@ std::string gen_aot_kernel(const AotKernelSpec& spec) {
     stride[static_cast<std::size_t>(d)] = padded;
     padded *= spec.extent[static_cast<std::size_t>(d)] + 2 * spec.halo;
   }
+  std::string dims;
+  for (int d = 0; d < spec.ndim; ++d)
+    dims += strprintf("%s%lld", d > 0 ? "x" : "",
+                      static_cast<long long>(spec.extent[static_cast<std::size_t>(d)]));
+
+  // First term of each distinct time offset, most recent first: terms of one
+  // offset share their ring slot, so one `src` load serves them all.
+  std::map<int, std::size_t, std::greater<>> first_term;
+  for (std::size_t k = 0; k < spec.terms.size(); ++k)
+    first_term.emplace(spec.terms[k].time_offset, k);
 
   Emitter e;
-  e.line(strprintf("/* msc AOT-specialized kernel: %s — generated, do not edit.", spec.name.c_str()));
-  e.line(strprintf(" * %d-D interior %lld%s, halo %lld, window %d, %zu linear terms,",
-                   spec.ndim, static_cast<long long>(spec.extent[0]),
-                   spec.ndim > 1 ? strprintf("x%lld%s", static_cast<long long>(spec.extent[1]),
-                                             spec.ndim > 2
-                                                 ? strprintf("x%lld", static_cast<long long>(
-                                                                          spec.extent[2]))
-                                                       .c_str()
-                                                 : "")
-                                       .c_str()
-                                 : "",
-                   static_cast<long long>(spec.halo), spec.window, spec.terms.size()));
-  e.line(strprintf(" * time depth %lld. Numerics match exec sweep_point_linear bit for bit",
-                   static_cast<long long>(spec.time_depth)));
-  e.line(" * (ordered acc += coeff * (double)load; compile with -ffp-contract=off). */");
+  e.line(strprintf("/* msc AOT-specialized row kernel: %s — generated, do not edit.",
+                   spec.name.c_str()));
+  e.line(strprintf(" * %d-D interior %s, halo %lld, %zu linear terms.  Numerics match exec",
+                   spec.ndim, dims.c_str(), static_cast<long long>(spec.halo),
+                   spec.terms.size()));
+  e.line(" * sweep_point_linear bit for bit (ordered acc += coeff * (double)load;");
+  e.line(" * compile with -ffp-contract=off). */");
   e.line();
-  e.line(strprintf("#define MSC_WIN %d", spec.window));
-  e.line("#define MSC_SLOT(t) ((int)((((t) % MSC_WIN) + MSC_WIN) % MSC_WIN))");
+  e.line("#include <stdint.h>");
+  e.line();
   e.line("#define MSC_EXPORT __attribute__((visibility(\"default\")))");
   e.line();
+  e.line("/* exec::detail::ResolvedTerm<T>; coeff and delta are baked in below. */");
+  e.open("struct msc_term");
+  e.line("double coeff;");
+  e.line("int64_t delta;");
+  e.line(strprintf("const %s *src;", ty.c_str()));
+  e.close("};");
+  e.line();
 
-  emit_step(e, spec, stride);
-
-  e.open("MSC_EXPORT void msc_aot_run(void *const *slots_v, long t_begin, long t_end)");
-  e.line(strprintf("%s *const *slots = (%s *const *)slots_v;", spec.elem_c_type.c_str(),
-                   spec.elem_c_type.c_str()));
-  e.line("long t = t_begin;");
-  if (spec.time_depth > 1) {
-    // time_tile fusion: the slot rotation of a full block is unrolled so the
-    // cc sees a straight run of step calls per block.
-    e.open(strprintf("for (; t + %lldL <= t_end; t += %lldL)",
-                     static_cast<long long>(spec.time_depth - 1),
-                     static_cast<long long>(spec.time_depth)));
-    for (std::int64_t k = 0; k < spec.time_depth; ++k)
-      e.line(step_call(spec, strprintf("t + %lldL", static_cast<long long>(k))));
-    e.close();
+  e.open(strprintf("MSC_EXPORT void msc_aot_row(%s *restrict out, int64_t base, int64_t n, "
+                   "const struct msc_term *restrict terms)",
+                   ty.c_str()));
+  for (const auto& [toff, k] : first_term)
+    e.line(strprintf("const %s *restrict %s = terms[%zu].src + base;", ty.c_str(),
+                     in_name(toff).c_str(), k));
+  e.line("out += base;");
+  e.line("#pragma GCC ivdep");
+  e.open("for (int64_t i = 0; i < n; ++i)");
+  e.line("double acc = 0.0;");
+  for (const auto& term : spec.terms) {
+    std::int64_t delta = 0;
+    for (int d = 0; d < spec.ndim; ++d)
+      delta += term.offset[static_cast<std::size_t>(d)] * stride[static_cast<std::size_t>(d)];
+    e.line(strprintf("acc += %.17g * (double)%s[%s];", term.coeff,
+                     in_name(term.time_offset).c_str(), index_expr(delta).c_str()));
   }
-  e.open("for (; t <= t_end; ++t)");
-  e.line(step_call(spec, "t"));
-  e.close();
-  e.close();
+  e.line(strprintf("out[i] = (%s)acc;", ty.c_str()));
+  e.close();  // i
+  e.close();  // function
   e.line();
   e.open("MSC_EXPORT long msc_aot_padded_points(void)");
   e.line(strprintf("return %lldL;", static_cast<long long>(padded)));
-  e.close();
-  e.open("MSC_EXPORT int msc_aot_window(void)");
-  e.line(strprintf("return %d;", spec.window));
   e.close();
   e.open("MSC_EXPORT int msc_aot_abi(void)");
   e.line(strprintf("return %d;", kMscAotAbiVersion));

@@ -31,7 +31,6 @@ const char* aot_fallback_slug(const std::string& reason) {
   const auto has = [&](const char* needle) {
     return reason.find(needle) != std::string::npos;
   };
-  if (has("halo exchange")) return "boundary";
   if (has("C compiler")) return "no_cc";
   if (has("not affine")) return "not_affine";
   if (has("quarantined")) return "quarantined";
@@ -104,7 +103,9 @@ std::uint64_t fnv1a(const std::string& s) {
 /// Probes (once per cc, cached) which optional flags the driver accepts.
 /// The AOT module is compiled in the same numerics environment as the
 /// sweep engine TU: -ffp-contract=off always, plus the host-ISA flags
-/// when the driver knows them.
+/// when the driver knows them.  The row length is a run-time argument, so
+/// GCC's -O2 "very cheap" vectorizer cost model (no scalar epilogue) would
+/// leave the row loop scalar; the "cheap" model vectorizes it.
 std::string compile_flags(const std::string& cc) {
   static std::mutex m;
   static std::map<std::string, std::string> cache;
@@ -112,7 +113,8 @@ std::string compile_flags(const std::string& cc) {
   auto it = cache.find(cc);
   if (it != cache.end()) return it->second;
   std::string flags = "-O2 -std=c99 -fPIC -shared -ffp-contract=off";
-  for (const char* probe : {"-march=native", "-mprefer-vector-width=256"}) {
+  for (const char* probe :
+       {"-march=native", "-mprefer-vector-width=256", "-fvect-cost-model=cheap"}) {
     // Bounded like host_cc_available: a wedged driver must cost a flag,
     // not stall the pipeline ahead of the budgeted compile.
     const auto r = run_shell(shell_quote(cc) + " " + probe +
@@ -145,10 +147,9 @@ std::shared_ptr<AotModule> open_module(const std::string& path, std::string* why
   auto mod = std::make_shared<AotModule>(handle, path);
   const auto sym = [&](const char* name) { return dlsym(handle, name); };
   auto* abi_fn = reinterpret_cast<int (*)()>(sym("msc_aot_abi"));
-  auto* run_fn = reinterpret_cast<AotModule::RunFn>(sym("msc_aot_run"));
+  auto* row_fn = reinterpret_cast<AotModule::RowSym>(sym("msc_aot_row"));
   auto* pp_fn = reinterpret_cast<long (*)()>(sym("msc_aot_padded_points"));
-  auto* win_fn = reinterpret_cast<int (*)()>(sym("msc_aot_window"));
-  if (abi_fn == nullptr || run_fn == nullptr || pp_fn == nullptr || win_fn == nullptr) {
+  if (abi_fn == nullptr || row_fn == nullptr || pp_fn == nullptr) {
     *why = "module is missing msc_aot_* symbols";
     return nullptr;  // mod dtor dlcloses
   }
@@ -156,9 +157,8 @@ std::shared_ptr<AotModule> open_module(const std::string& path, std::string* why
     *why = strprintf("module ABI %d != expected %d", abi_fn(), codegen::kMscAotAbiVersion);
     return nullptr;
   }
-  mod->run = run_fn;
+  mod->row = row_fn;
   mod->padded_points = static_cast<std::int64_t>(pp_fn());
-  mod->window = win_fn();
   return mod;
 }
 
@@ -189,7 +189,7 @@ AotModule::~AotModule() {
 int AotModule::live() { return g_live_modules.load(); }
 
 std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
-                                           const schedule::Schedule& sched,
+                                           const schedule::Schedule& /*sched*/,
                                            const Bindings& bindings, const AotOptions& opts,
                                            AotExecInfo* info, std::string* why,
                                            const CancelToken* cancel) {
@@ -199,7 +199,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     *why = "stencil is not affine (no linear form to specialize)";
     return nullptr;
   }
-  const auto spec = codegen::make_aot_spec(st, sched, *lin);
+  const auto spec = codegen::make_aot_spec(st, *lin);
   const std::string source = codegen::gen_aot_kernel(spec);
   const std::string flags = compile_flags(opts.cc);
   const std::string hash = strprintf(
@@ -328,6 +328,16 @@ void run_scheduled_aot(const ir::StencilDef& st, const schedule::Schedule& sched
                        const CancelToken* cancel) {
   MSC_CHECK(t_begin <= t_end) << "empty time range";
 
+  // One driver for every row kernel: the wedge engine when the schedule
+  // fuses timesteps, the per-step engine otherwise.
+  const auto drive = [&](detail::RowFn<T> row) {
+    if (sched.time_tile_depth() > 1)
+      detail::run_scheduled_temporal_rows(st, sched, state, t_begin, t_end, bc, bindings,
+                                          stats, nullptr, {}, cancel, row);
+    else
+      detail::run_scheduled_rows(st, sched, state, t_begin, t_end, bc, bindings, stats,
+                                 cancel, row);
+  };
   const auto fallback = [&](const std::string& reason) {
     if (info != nullptr) {
       info->aot = false;
@@ -336,98 +346,30 @@ void run_scheduled_aot(const ir::StencilDef& st, const schedule::Schedule& sched
     const char* slug = aot_fallback_slug(reason);
     prof::counter("aot.fallback").add(1);
     prof::counter(std::string("aot.fallback.") + slug).add(1);
-    prof::LogEvent(prof::LogLevel::Warn, "exec.aot", "fallback to run_scheduled")
+    prof::LogEvent(prof::LogLevel::Warn, "exec.aot", "fallback to the sweep kernels")
         .str("slug", slug)
         .str("reason", reason)
         .str("stencil", st.name());
-    // run_scheduled carries its own CancelGuard (all-or-nothing holds on
-    // the degraded path too) and produces bit-identical results.
-    run_scheduled(st, sched, state, t_begin, t_end, bc, bindings, stats, cancel);
+    drive(nullptr);
   };
 
-  if (bc != Boundary::ZeroHalo) {
-    fallback(std::string("boundary '") + boundary_name(bc) +
-             "' needs a per-step halo exchange");
-    return;
-  }
   if (!host_cc_available(opts.cc)) {
     fallback("no host C compiler ('" + opts.cc + "') on PATH");
     return;
   }
-
-  // Same schedule validation as run_scheduled: the baked extents must be
-  // the grid's (the module's own padded_points check below re-pins this).
-  const LoopPlan plan = build_loop_plan(sched);
-  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
-  for (int d = 0; d < plan.ndim; ++d)
-    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
-        << "schedule extent mismatch in dim " << d;
-
   std::string why;
   auto mod = detail::load_aot_module(st, sched, bindings, opts, info, &why, cancel);
   if (mod == nullptr) {
     fallback(why);
     return;
   }
+  // The deltas are baked over the module's padded strides; GridStorage has
+  // already pinned sizeof(T) to the stencil dtype the kernel was typed for.
   MSC_CHECK(mod->padded_points == state.padded_points())
       << "AOT module geometry mismatch: " << mod->padded_points << " padded points vs grid "
       << state.padded_points();
-  MSC_CHECK(mod->window == state.slots())
-      << "AOT module window " << mod->window << " vs grid " << state.slots();
-
-  detail::CancelGuard<T> guard(state, cancel);
-  try {
-  // The kernel writes interior cells only, so zeroing every ring slot's
-  // halo once up front is equivalent to the per-step fill of run_scheduled
-  // (zero halos are idempotent) — same reasoning as the temporal engine.
-  for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, bc);
-
-  std::vector<void*> slots;
-  slots.reserve(static_cast<std::size_t>(state.slots()));
-  for (int s = 0; s < state.slots(); ++s) slots.push_back(state.slot_data(s));
-
-  const auto lin = linearize_stencil(st, bindings);
-  prof::TraceScope scope("run_scheduled_aot", "exec");
-  scope.arg("t_begin", static_cast<double>(t_begin));
-  scope.arg("t_end", static_cast<double>(t_end));
-  {
-    const prof::FlightPlanScope flight_plan(prof::plan_fingerprint(
-        static_cast<std::uint64_t>(plan.extent[0]), static_cast<std::uint64_t>(plan.extent[1]),
-        static_cast<std::uint64_t>(plan.extent[2]),
-        lin.has_value() ? lin->terms.size() : 0,
-        static_cast<std::uint64_t>(plan.tiles_per_step), /*extra=*/0xA07));
-    prof::FlightScope flight_run(prof::FlightKind::AotRun, t_end - t_begin + 1);
-    if (cancel != nullptr) {
-      // Cooperative cancellation cannot interrupt compiled code, so bound
-      // its latency by dispatching one timestep per call with a checkpoint
-      // between steps.  Per-step calls produce bit-identical results: each
-      // step reads only completed ring slots.
-      for (std::int64_t t = t_begin; t <= t_end; ++t) {
-        cancel->checkpoint_now("aot.run");
-        mod->run(slots.data(), static_cast<long>(t), static_cast<long>(t));
-      }
-    } else {
-      mod->run(slots.data(), static_cast<long>(t_begin), static_cast<long>(t_end));
-    }
-  }
   if (info != nullptr) info->aot = true;
-
-  const std::int64_t nsteps = t_end - t_begin + 1;
-  const std::int64_t points = st.state()->interior_points() * nsteps;
-  const std::int64_t flops =
-      2 * static_cast<std::int64_t>(lin.has_value() ? lin->terms.size() : 0) * points;
-  prof::counter("exec.points_updated").add(points);
-  prof::counter("exec.flops").add(flops);
-  prof::counter("exec.timesteps").add(nsteps);
-  if (stats != nullptr) {
-    stats->timesteps += nsteps;
-    stats->points_updated += points;
-    stats->flops += flops;
-  }
-  } catch (const Cancelled&) {
-    guard.restore();
-    throw;
-  }
+  drive(reinterpret_cast<detail::RowFn<T>>(mod->row));
 }
 
 template void run_scheduled_aot<float>(const ir::StencilDef&, const schedule::Schedule&,

@@ -1,14 +1,20 @@
 #pragma once
 
-// The AOT dlopen host backend: per lowered plan, emit a specialized C
-// kernel (codegen/aot_kernel.hpp), compile it with the host cc into a
-// shared object, dlopen it, and dispatch timesteps through the compiled
-// entry point.  The pipeline is
+// The AOT dlopen host backend: per stencil and grid geometry, emit a
+// specialized C row kernel (codegen/aot_kernel.hpp), compile it with the
+// host cc into a shared object, dlopen it, and hand its row kernel to the
+// same drivers every host engine uses.  The pipeline is
 //
 //   linearize -> make_aot_spec -> gen_aot_kernel     (emit)
 //   -> <cache_dir>/<hash>.c -> cc -shared -> <hash>.so  (compile, cached)
 //   -> dlopen + symbol/ABI checks                    (load)
-//   -> msc_aot_run(slot_ptrs, t_begin, t_end)        (dispatch)
+//   -> run_scheduled / run_scheduled_temporal with msc_aot_row as the
+//      row kernel                                    (execute)
+//
+// The module holds no time loop: steps, halo fills, parallel tile chunks,
+// time_tile wedges, cancellation and flight spans all come from the
+// drivers, so AOT runs are bit-identical to the sweep engine under every
+// schedule and boundary.
 //
 // The compile cache is keyed by an FNV-1a hash over the *generated source
 // text*, the compile command flags, and the emitter ABI version — so any
@@ -16,9 +22,9 @@
 // and stale shared objects are never reused.  A cached .so that fails to
 // dlopen or fails its ABI checks is deleted and rebuilt once.
 //
-// Fallback discipline mirrors run_scheduled_temporal: boundaries other
-// than ZeroHalo, a missing host cc, or a failed compile fall back to
-// run_scheduled and report why through AotExecInfo — never silently.
+// A missing host cc, a non-affine stencil, or a failed or quarantined
+// compile falls back to the built-in sweep kernels under the same driver
+// and reports why through AotExecInfo — never silently.
 
 #include <cstdint>
 #include <memory>
@@ -33,7 +39,7 @@
 namespace msc::exec {
 
 /// Stable slug classifying a fallback reason string — the suffix of the
-/// labelled counter `aot.fallback.<slug>` (boundary, no_cc, not_affine,
+/// labelled counter `aot.fallback.<slug>` (no_cc, not_affine,
 /// compile_failed, compile_timeout, quarantined, dlopen_failed,
 /// missing_symbols, abi_mismatch, cache_io, other).  msc-conform prints
 /// these counters when an AOT oracle fails.
@@ -65,10 +71,11 @@ class AotModule {
   AotModule(const AotModule&) = delete;
   AotModule& operator=(const AotModule&) = delete;
 
-  using RunFn = void (*)(void* const*, long, long);
-  RunFn run = nullptr;
+  /// msc_aot_row, typed for the stencil's element type at emission; the
+  /// caller casts it to detail::RowFn<T> of that type.
+  using RowSym = void (*)();
+  RowSym row = nullptr;
   std::int64_t padded_points = 0;
-  int window = 0;
   const std::string& path() const { return path_; }
 
   /// Number of AotModule instances currently holding a dlopen handle.
@@ -79,8 +86,10 @@ class AotModule {
   std::string path_;
 };
 
-/// Emits, compiles (or reuses), and loads the module for one stencil +
-/// schedule.  Returns nullptr with `why` set on any failure — callers
+/// Emits, compiles (or reuses), and loads the module for one stencil.  The
+/// module depends only on the stencil and its grid geometry, so `sched` does
+/// not enter it: every schedule of a plan shares one compiled object.
+/// Returns nullptr with `why` set on any failure — callers
 /// decide whether that means skip, fallback, or error.  `cancel` is polled
 /// between pipeline stages (probe / emit / compile / dlopen); the compile
 /// itself runs under min(compile budget, remaining deadline) so a hung cc
@@ -94,13 +103,13 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
 }  // namespace detail
 
 /// AOT executor: same numerics as run_scheduled — bit-identical for every
-/// dtype — dispatched through the dlopen'd specialized kernel.  Boundaries
-/// other than ZeroHalo, a missing cc, a compile failure, or a quarantined
-/// plan fall back to run_scheduled and report it via `info` (and the
-/// aot.fallback counter).  With `cancel` attached the compiled kernel is
-/// dispatched one timestep at a time with a checkpoint between steps, and
-/// a fired token restores the grid (all-or-nothing) before Cancelled
-/// escapes; a null token dispatches the whole range in one call.
+/// dtype, schedule and boundary — with the dlopen'd kernel as the row
+/// kernel of run_scheduled, or of run_scheduled_temporal when the schedule
+/// has time_tile() depth > 1.  Those drivers supply halos, parallelism,
+/// cancellation (row-chunk or wedge granularity, all-or-nothing) and stats.
+/// A missing cc, a compile failure, or a quarantined plan falls back to
+/// the same driver with the built-in sweep kernels and reports it via
+/// `info` (and the aot.fallback counter).
 template <typename T>
 void run_scheduled_aot(const ir::StencilDef& st, const schedule::Schedule& sched,
                        GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,

@@ -179,13 +179,15 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
   }
 }
 
-/// Scheduled executor: same numerics as run_reference, loop structure and
-/// parallelism from `sched`, lowered once to the compiled row sweep.
+namespace detail {
+
+/// run_scheduled's driver with its row kernel explicit: nullptr runs the
+/// built-in sweep kernels, the AOT backend passes its compiled one.
 template <typename T>
-void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
-                   GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end, Boundary bc,
-                   const Bindings& bindings = {}, ExecStats* stats = nullptr,
-                   const CancelToken* cancel = nullptr) {
+void run_scheduled_rows(const ir::StencilDef& st, const schedule::Schedule& sched,
+                        GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
+                        Boundary bc, const Bindings& bindings, ExecStats* stats,
+                        const CancelToken* cancel, RowFn<T> row) {
   MSC_CHECK(t_begin <= t_end) << "empty time range";
   const auto lin = linearize_stencil(st, bindings);
   MSC_CHECK(lin.has_value())
@@ -202,7 +204,7 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
       static_cast<std::uint64_t>(plan.extent[2]), lin->terms.size(),
       static_cast<std::uint64_t>(plan.tiles_per_step)));
 
-  detail::CancelGuard<T> guard(state, cancel);
+  CancelGuard<T> guard(state, cancel);
   try {
   for (int back = 1; back < st.time_window(); ++back)
     state.fill_halo(state.slot_for_time(t_begin - back), bc);
@@ -216,7 +218,7 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
     T* out = state.slot_data(out_slot);
 
     const auto terms = resolve_terms(*lin, state, t);
-    const SweepStats swept = run_sweep(sweep, state, out, terms, cancel);
+    const SweepStats swept = run_sweep(sweep, state, out, terms, cancel, row);
     flight_step.set_a(swept.points);
 
     state.fill_halo(out_slot, bc);
@@ -240,6 +242,19 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
   }
 }
 
+}  // namespace detail
+
+/// Scheduled executor: same numerics as run_reference, loop structure and
+/// parallelism from `sched`, lowered once to the compiled row sweep.
+template <typename T>
+void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
+                   GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end, Boundary bc,
+                   const Bindings& bindings = {}, ExecStats* stats = nullptr,
+                   const CancelToken* cancel = nullptr) {
+  detail::run_scheduled_rows(st, sched, state, t_begin, t_end, bc, bindings, stats, cancel,
+                             detail::RowFn<T>{});
+}
+
 /// What run_scheduled_temporal actually executed: either the wedge
 /// decomposition it ran, or — when the boundary condition needs a per-step
 /// halo exchange — the reason it fell back to the per-step engine.  A
@@ -255,19 +270,17 @@ struct TemporalExecInfo {
   std::int64_t dep_span = 0;      ///< wedges a step may read behind itself
 };
 
-/// Temporal executor: same numerics as run_scheduled — bit-identical for
-/// every dtype and time depth — but sweeps time-skewed wedges of
-/// time_tile() timesteps per pass (temporal_sweep.hpp) so a wedge's rows
-/// stay cache-resident across the whole time window.  Boundaries other
-/// than ZeroHalo need a fresh halo every step, which a multi-step wedge
-/// cannot see: those fall back to run_scheduled and report it via `info`.
+namespace detail {
+
+/// run_scheduled_temporal's driver with its row kernel explicit (see
+/// run_scheduled_rows).
 template <typename T>
-void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& sched,
-                            GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
-                            Boundary bc, const Bindings& bindings = {},
-                            ExecStats* stats = nullptr, TemporalExecInfo* info = nullptr,
-                            const TemporalOptions& topts = {},
-                            const CancelToken* cancel = nullptr) {
+void run_scheduled_temporal_rows(const ir::StencilDef& st, const schedule::Schedule& sched,
+                                 GridStorage<T>& state, std::int64_t t_begin,
+                                 std::int64_t t_end, Boundary bc, const Bindings& bindings,
+                                 ExecStats* stats, TemporalExecInfo* info,
+                                 const TemporalOptions& topts, const CancelToken* cancel,
+                                 RowFn<T> row) {
   MSC_CHECK(t_begin <= t_end) << "empty time range";
   if (bc != Boundary::ZeroHalo) {
     if (info != nullptr) {
@@ -278,7 +291,7 @@ void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& 
     prof::counter("sweep.temporal.fallback").add(1);
     // run_scheduled carries its own CancelGuard, so the all-or-nothing
     // contract holds on the fallback path too.
-    run_scheduled(st, sched, state, t_begin, t_end, bc, bindings, stats, cancel);
+    run_scheduled_rows(st, sched, state, t_begin, t_end, bc, bindings, stats, cancel, row);
     return;
   }
 
@@ -304,7 +317,7 @@ void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& 
     info->dep_span = tplan.dep_span;
   }
 
-  detail::CancelGuard<T> guard(state, cancel);
+  CancelGuard<T> guard(state, cancel);
   SweepStats swept;
   try {
     // Zero halos are idempotent: zero every ring slot's halo once up front.
@@ -321,7 +334,7 @@ void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& 
         static_cast<std::uint64_t>(plan.extent[2]), lin->terms.size(),
         static_cast<std::uint64_t>(plan.tiles_per_step),
         static_cast<std::uint64_t>(tplan.wedge_depth)));
-    swept = run_temporal_sweep(tplan, *lin, state, topts.pool, cancel);
+    swept = run_temporal_sweep(tplan, *lin, state, topts.pool, cancel, row);
   } catch (const Cancelled&) {
     guard.restore();
     throw;
@@ -340,6 +353,25 @@ void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& 
     stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read * nsteps;
     stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write * nsteps;
   }
+}
+
+}  // namespace detail
+
+/// Temporal executor: same numerics as run_scheduled — bit-identical for
+/// every dtype and time depth — but sweeps time-skewed wedges of
+/// time_tile() timesteps per pass (temporal_sweep.hpp) so a wedge's rows
+/// stay cache-resident across the whole time window.  Boundaries other
+/// than ZeroHalo need a fresh halo every step, which a multi-step wedge
+/// cannot see: those fall back to run_scheduled and report it via `info`.
+template <typename T>
+void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& sched,
+                            GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
+                            Boundary bc, const Bindings& bindings = {},
+                            ExecStats* stats = nullptr, TemporalExecInfo* info = nullptr,
+                            const TemporalOptions& topts = {},
+                            const CancelToken* cancel = nullptr) {
+  detail::run_scheduled_temporal_rows(st, sched, state, t_begin, t_end, bc, bindings, stats,
+                                      info, topts, cancel, detail::RowFn<T>{});
 }
 
 /// The retired per-point interpreter: recurses through the schedule's loop

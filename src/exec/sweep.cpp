@@ -247,7 +247,7 @@ template void sweep_row<double>(double*, std::int64_t, std::int64_t,
 template <typename T>
 SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
                      const std::vector<detail::ResolvedTerm<T>>& terms,
-                     const CancelToken* cancel) {
+                     const CancelToken* cancel, detail::RowFn<T> row) {
   MSC_CHECK(plan.ndim == state.ndim()) << "sweep plan rank mismatch";
   SweepStats total;
   const auto ntiles = static_cast<std::int64_t>(plan.tiles.size());
@@ -265,7 +265,8 @@ SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
         // the armed path, a single null test otherwise.  The throw unwinds
         // through parallel_for, which rethrows Cancelled on the caller.
         if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk");
-        detail::sweep_tile(plan.tiles[static_cast<std::size_t>(n)], state, out, terms, local);
+        detail::sweep_tile(plan.tiles[static_cast<std::size_t>(n)], state, out, terms, local,
+                           row);
       }
       local.tiles = hi - lo;
       flight.set_a(local.points);
@@ -278,7 +279,7 @@ SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
     prof::FlightScope flight(prof::FlightKind::RowChunk, 0, ntiles);
     for (const auto& tile : plan.tiles) {
       if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk");
-      detail::sweep_tile(tile, state, out, terms, total);
+      detail::sweep_tile(tile, state, out, terms, total, row);
     }
     total.tiles = ntiles;
     flight.set_a(total.points);
@@ -288,10 +289,10 @@ SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
 
 template SweepStats run_sweep<float>(const SweepPlan&, const GridStorage<float>&, float*,
                                      const std::vector<detail::ResolvedTerm<float>>&,
-                                     const CancelToken*);
+                                     const CancelToken*, detail::RowFn<float>);
 template SweepStats run_sweep<double>(const SweepPlan&, const GridStorage<double>&,
                                       double*,
                                       const std::vector<detail::ResolvedTerm<double>>&,
-                                      const CancelToken*);
+                                      const CancelToken*, detail::RowFn<double>);
 
 }  // namespace msc::exec

@@ -269,18 +269,23 @@ constexpr std::array<TileFn<T>, sizeof...(I)> make_tile_table(std::index_sequenc
   return {{&sweep_tile_fixed<T, I + 1>...}};
 }
 
-/// Sweeps every row of one tile, dispatching once per tile on the term
-/// count (1..kFusedTermLimit get a fully-unrolled kernel).
+/// Sweeps every row of one tile.  A non-null `row` (the AOT backend's
+/// compiled kernel) runs every row; otherwise the tile dispatches once on
+/// the term count (1..kFusedTermLimit get a fully-unrolled kernel).
 template <typename T>
 inline void sweep_tile(const SweepTile& tile, const GridStorage<T>& state, T* out,
-                       const std::vector<ResolvedTerm<T>>& terms, SweepStats& stats) {
+                       const std::vector<ResolvedTerm<T>>& terms, SweepStats& stats,
+                       RowFn<T> row) {
   static constexpr auto kTable =
       make_tile_table<T>(std::make_index_sequence<kFusedTermLimit>{});
   const auto last = static_cast<std::size_t>(state.ndim() - 1);
   const std::int64_t n = tile.hi[last] - tile.lo[last];
   if (n <= 0) return;
   const std::size_t nt = terms.size();
-  if (nt - 1 < kFusedTermLimit) {
+  if (row != nullptr) {
+    tile_rows(tile, state, n, stats,
+              [&](std::int64_t base) { row(out, base, n, terms.data()); });
+  } else if (nt - 1 < kFusedTermLimit) {
     kTable[nt - 1](tile, state, out, terms, stats, n);
   } else {
     tile_rows(tile, state, n, stats,
@@ -327,17 +332,20 @@ std::vector<detail::ResolvedTerm<T>> resolve_terms(const LinearKernel& lin,
 /// current output slot partially written — callers that expose cancellation
 /// (exec::run_scheduled and friends) wrap the whole run in a slot snapshot
 /// so the caller-visible contract stays all-or-nothing.
+///
+/// `row`, when non-null, replaces the built-in row kernels (see sweep_tile).
 template <typename T>
 SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
                      const std::vector<detail::ResolvedTerm<T>>& terms,
-                     const CancelToken* cancel = nullptr);
+                     const CancelToken* cancel = nullptr, detail::RowFn<T> row = nullptr);
 
 extern template SweepStats run_sweep<float>(const SweepPlan&, const GridStorage<float>&,
                                             float*,
                                             const std::vector<detail::ResolvedTerm<float>>&,
-                                            const CancelToken*);
+                                            const CancelToken*, detail::RowFn<float>);
 extern template SweepStats run_sweep<double>(
     const SweepPlan&, const GridStorage<double>&, double*,
-    const std::vector<detail::ResolvedTerm<double>>&, const CancelToken*);
+    const std::vector<detail::ResolvedTerm<double>>&, const CancelToken*,
+    detail::RowFn<double>);
 
 }  // namespace msc::exec

@@ -59,15 +59,16 @@ struct StepCtx {
 
 template <typename T>
 void run_wedge_step(const WedgeStep& ws, const StepCtx<T>& ctx, const GridStorage<T>& state,
-                    SweepStats& stats) {
-  for (const auto& tile : ws.tiles) detail::sweep_tile(tile, state, ctx.out, ctx.terms, stats);
+                    SweepStats& stats, detail::RowFn<T> row) {
+  for (const auto& tile : ws.tiles)
+    detail::sweep_tile(tile, state, ctx.out, ctx.terms, stats, row);
   stats.tiles += static_cast<std::int64_t>(ws.tiles.size());
 }
 
 template <typename T>
 void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel& lin,
                GridStorage<T>& state, std::int64_t t0, ThreadPool& pool, SweepStats& total,
-               const CancelToken* cancel) {
+               const CancelToken* cancel, detail::RowFn<T> row) {
   prof::TraceScope block_scope("temporal.block", "exec");
   block_scope.arg("t0", static_cast<double>(t0));
   block_scope.arg("depth", static_cast<double>(set.depth));
@@ -102,7 +103,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
       prof::FlightScope wedge_flight(prof::FlightKind::Wedge, wedge.index,
                                      static_cast<std::int64_t>(wedge.steps.size()));
       for (const auto& ws : wedge.steps)
-        run_wedge_step(ws, ctx[static_cast<std::size_t>(ws.step)], state, total);
+        run_wedge_step(ws, ctx[static_cast<std::size_t>(ws.step)], state, total, row);
       ++wedges_run;
       steps_run += static_cast<std::int64_t>(wedge.steps.size());
     }
@@ -181,7 +182,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
                w < lo[static_cast<std::size_t>(c) + 1]; ++w) {
             for (const auto& ws : set.wedges[static_cast<std::size_t>(w)].steps) {
               if (ws.step != s) continue;
-              run_wedge_step(ws, ctx[static_cast<std::size_t>(s)], state, local);
+              run_wedge_step(ws, ctx[static_cast<std::size_t>(s)], state, local, row);
               ++local_steps;
               ++level_steps;
             }
@@ -265,25 +266,25 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window, std:
 template <typename T>
 SweepStats run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
                               GridStorage<T>& state, ThreadPool* pool,
-                              const CancelToken* cancel) {
+                              const CancelToken* cancel, detail::RowFn<T> row) {
   MSC_CHECK(plan.ndim == state.ndim()) << "temporal plan rank mismatch";
   ThreadPool& tp = pool != nullptr ? *pool : global_pool();
   SweepStats total;
   std::int64_t t = plan.t_begin;
   for (std::int64_t b = 0; b < plan.full_blocks; ++b) {
-    run_block(plan, plan.full, lin, state, t, tp, total, cancel);
+    run_block(plan, plan.full, lin, state, t, tp, total, cancel, row);
     t += plan.wedge_depth;
   }
   if (plan.remainder.depth > 0)
-    run_block(plan, plan.remainder, lin, state, t, tp, total, cancel);
+    run_block(plan, plan.remainder, lin, state, t, tp, total, cancel, row);
   return total;
 }
 
 template SweepStats run_temporal_sweep<float>(const TemporalPlan&, const LinearKernel&,
                                               GridStorage<float>&, ThreadPool*,
-                                              const CancelToken*);
+                                              const CancelToken*, detail::RowFn<float>);
 template SweepStats run_temporal_sweep<double>(const TemporalPlan&, const LinearKernel&,
                                                GridStorage<double>&, ThreadPool*,
-                                               const CancelToken*);
+                                               const CancelToken*, detail::RowFn<double>);
 
 }  // namespace msc::exec

@@ -131,18 +131,23 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window,
 /// poisons the wavefront counters exactly like a worker exception and
 /// throws Cancelled; exec::run_scheduled_temporal restores the ring slots
 /// so the caller-visible contract is all-or-nothing.
+///
+/// `row`, when non-null, replaces the built-in row kernels in every wedge
+/// step (see detail::sweep_tile).
 template <typename T>
 SweepStats run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
                               GridStorage<T>& state, ThreadPool* pool = nullptr,
-                              const CancelToken* cancel = nullptr);
+                              const CancelToken* cancel = nullptr,
+                              detail::RowFn<T> row = nullptr);
 
 extern template SweepStats run_temporal_sweep<float>(const TemporalPlan&,
                                                      const LinearKernel&,
                                                      GridStorage<float>&, ThreadPool*,
-                                                     const CancelToken*);
+                                                     const CancelToken*, detail::RowFn<float>);
 extern template SweepStats run_temporal_sweep<double>(const TemporalPlan&,
                                                       const LinearKernel&,
                                                       GridStorage<double>&, ThreadPool*,
-                                                      const CancelToken*);
+                                                      const CancelToken*,
+                                                      detail::RowFn<double>);
 
 }  // namespace msc::exec

@@ -56,10 +56,13 @@ PlanCost attribute_plan(const ir::StencilDef& st, const schedule::Schedule& sche
   // Per-step engines stream every distinct input slot once per step; the
   // wedge engine streams them once per time *block* — that reuse is the
   // entire point of the temporal lowering, and the block count here comes
-  // from the same lower_temporal() the engine executes.
+  // from the same lower_temporal() the engine executes.  The AOT backend
+  // runs its row kernel under that engine whenever the schedule has a
+  // time_tile(), so it streams the same blocks.
   c.wedge_depth = 1;
   c.blocks = c.steps;
-  if (backend == AttrBackend::Temporal) {
+  if (backend == AttrBackend::Temporal ||
+      (backend == AttrBackend::Aot && sched.time_tile_depth() > 1)) {
     const exec::LoopPlan plan = exec::build_loop_plan(sched);
     const exec::TemporalPlan tplan =
         lower_temporal(plan, st.time_window(), st.max_radius(), t_begin, t_end);
@@ -87,7 +90,6 @@ PhaseBreakdown bucket_phases(const std::vector<FlightThreadDump>& dumps, double 
         // parents of RowChunk / Wedge and would double-count.
         case FlightKind::RowChunk:
         case FlightKind::Wedge:
-        case FlightKind::AotRun:
           p.compute_s += s;
           thread_total += s;
           ++p.events;

@@ -1,8 +1,10 @@
 #include "prof/flight.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <set>
 
 namespace msc::prof {
 
@@ -14,6 +16,30 @@ std::chrono::steady_clock::time_point flight_epoch() {
 }
 
 std::atomic<std::uint64_t> g_current_plan{0};
+
+// Ring slots are read by drains while their owner may be rewriting them,
+// so every field access is a relaxed atomic one (plain moves on x86).
+template <typename F>
+void relaxed_store(F& field, F value) {
+  std::atomic_ref<F>(field).store(value, std::memory_order_relaxed);
+}
+template <typename F>
+F relaxed_load(const F& field) {
+  return std::atomic_ref<F>(const_cast<F&>(field)).load(std::memory_order_relaxed);
+}
+
+// Ids of the recorders still alive.  An exiting thread releases its rings
+// only into recorders listed here, holding this mutex, so it never writes
+// into a destroyed recorder (tests create short-lived local ones).  Leaked
+// so thread exits during static destruction still find them.
+std::mutex& live_mutex() {
+  static auto* m = new std::mutex;
+  return *m;
+}
+std::set<std::uint64_t>& live_recorders() {
+  static auto* ids = new std::set<std::uint64_t>;
+  return *ids;
+}
 
 }  // namespace
 
@@ -28,7 +54,6 @@ const char* flight_kind_name(FlightKind kind) {
     case FlightKind::AotCacheProbe: return "aot_cache_probe";
     case FlightKind::AotCompile: return "aot_compile";
     case FlightKind::AotDlopen: return "aot_dlopen";
-    case FlightKind::AotRun: return "aot_run";
     case FlightKind::Crash: return "crash";
   }
   return "unknown";
@@ -45,21 +70,53 @@ std::uint64_t FlightRecorder::next_recorder_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+FlightRecorder::FlightRecorder() {
+  std::lock_guard<std::mutex> lock(live_mutex());
+  live_recorders().insert(id_);
+}
+
+FlightRecorder::~FlightRecorder() {
+  std::lock_guard<std::mutex> lock(live_mutex());
+  live_recorders().erase(id_);
+}
+
 FlightRecorder::ThreadRing& FlightRecorder::ring_for_current_thread() {
-  // One registration per (thread, recorder); the cached pairs make the
-  // steady-state record() path a thread-local scan of (almost always) one
-  // entry.  Keyed by a process-unique recorder id, not the address — tests
-  // instantiate short-lived local recorders and a reused address must not
-  // resolve to a freed ring.
-  thread_local std::vector<std::pair<std::uint64_t, ThreadRing*>> cached;
-  for (const auto& [owner, ring] : cached)
+  // One claim per (thread, recorder); the owned pairs make the steady-state
+  // record() path a thread-local scan of (almost always) one entry.  Keyed
+  // by a process-unique recorder id, not the address — tests instantiate
+  // short-lived local recorders and a reused address must not resolve to a
+  // freed ring.
+  struct Owned {
+    std::vector<std::pair<std::uint64_t, ThreadRing*>> rings;
+    ~Owned() {
+      // Thread exit: hand each ring back for the next new thread.  The
+      // release store publishes this thread's last count to the claimer.
+      std::lock_guard<std::mutex> lock(live_mutex());
+      for (const auto& [owner, ring] : rings)
+        if (live_recorders().count(owner) != 0)
+          ring->released.store(true, std::memory_order_release);
+    }
+  };
+  thread_local Owned owned;
+  for (const auto& [owner, ring] : owned.rings)
     if (owner == id_) return *ring;
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto ring = std::make_unique<ThreadRing>();
-  ring->tid = static_cast<int>(rings_.size());
-  rings_.push_back(std::move(ring));
-  cached.emplace_back(id_, rings_.back().get());
-  return *rings_.back();
+  ThreadRing* ring = nullptr;
+  for (const auto& r : rings_)
+    if (r->released.load(std::memory_order_acquire)) {
+      // Claims are serialized by registry_mutex_; the count stays monotonic
+      // so drains keep validating sequence numbers across owners.
+      r->released.store(false, std::memory_order_relaxed);
+      ring = r.get();
+      break;
+    }
+  if (ring == nullptr) {
+    rings_.push_back(std::make_unique<ThreadRing>());
+    ring = rings_.back().get();
+    ring->tid = static_cast<int>(rings_.size()) - 1;
+  }
+  owned.rings.emplace_back(id_, ring);
+  return *ring;
 }
 
 void FlightRecorder::record(FlightKind kind, std::uint64_t start_ns, std::uint64_t end_ns,
@@ -68,13 +125,17 @@ void FlightRecorder::record(FlightKind kind, std::uint64_t start_ns, std::uint64
   ThreadRing& ring = ring_for_current_thread();
   const std::uint64_t n = ring.count.load(std::memory_order_relaxed);
   FlightEvent& ev = ring.events[n % kRingCapacity];
-  ev.start_ns = start_ns;
-  ev.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-  ev.plan = g_current_plan.load(std::memory_order_relaxed);
-  ev.a = a;
-  ev.b = b;
-  ev.seq = static_cast<std::uint32_t>(n);
-  ev.kind = kind;
+  // The new sequence number goes in first; the release fence orders it
+  // before the payload, so a drain that sees any of this payload also sees
+  // the slot's seq change and drops the slot (drain() pairs the fence).
+  relaxed_store(ev.seq, static_cast<std::uint32_t>(n));
+  std::atomic_thread_fence(std::memory_order_release);
+  relaxed_store(ev.start_ns, start_ns);
+  relaxed_store(ev.dur_ns, end_ns >= start_ns ? end_ns - start_ns : std::uint64_t{0});
+  relaxed_store(ev.plan, g_current_plan.load(std::memory_order_relaxed));
+  relaxed_store(ev.a, a);
+  relaxed_store(ev.b, b);
+  relaxed_store(ev.kind, kind);
   // Release: a drain that acquires count >= n+1 sees this event's stores.
   ring.count.store(n + 1, std::memory_order_release);
 }
@@ -94,23 +155,33 @@ std::vector<FlightThreadDump> FlightRecorder::drain(std::size_t last_n) const {
     }
     const std::uint64_t window = std::min<std::uint64_t>(
         {n1, kRingCapacity, static_cast<std::uint64_t>(last_n)});
-    std::vector<FlightEvent> copied;
+    // Fields are copied with relaxed atomic loads (a concurrent writer
+    // may be overwriting the slot); the acquire fence before the seq load
+    // pairs with record()'s release fence, so a slot whose payload was
+    // (partly) overwritten shows the overwriter's seq and is dropped.
+    std::vector<std::pair<std::uint64_t, FlightEvent>> copied;
     copied.reserve(static_cast<std::size_t>(window));
-    for (std::uint64_t i = n1 - window; i < n1; ++i)
-      copied.push_back(ring->events[i % kRingCapacity]);
+    for (std::uint64_t i = n1 - window; i < n1; ++i) {
+      const FlightEvent& slot = ring->events[i % kRingCapacity];
+      FlightEvent ev;
+      ev.start_ns = relaxed_load(slot.start_ns);
+      ev.dur_ns = relaxed_load(slot.dur_ns);
+      ev.plan = relaxed_load(slot.plan);
+      ev.a = relaxed_load(slot.a);
+      ev.b = relaxed_load(slot.b);
+      ev.kind = relaxed_load(slot.kind);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      ev.seq = relaxed_load(slot.seq);
+      if (ev.seq == static_cast<std::uint32_t>(i)) copied.emplace_back(i, ev);  // else torn
+    }
     // Seqlock-lite validity: slots with seq < n2 - capacity were (or may
-    // have been) rewritten by a concurrent writer while we copied — a torn
-    // read is possible exactly there, so those entries are dropped.  A
+    // have been) rewritten by a concurrent writer while we copied, so those
+    // entries are dropped and the survivors form a consecutive suffix.  A
     // quiescent ring keeps the full window.
     const std::uint64_t n2 = ring->count.load(std::memory_order_acquire);
     const std::uint64_t oldest_valid = n2 > kRingCapacity ? n2 - kRingCapacity : 0;
-    for (const auto& ev : copied) {
-      const std::uint64_t expected = (n1 - window) + (static_cast<std::uint64_t>(
-                                                          &ev - copied.data()));
-      if (ev.seq != static_cast<std::uint32_t>(expected)) continue;  // torn slot
-      if (expected < oldest_valid) continue;                         // overwritten
-      dump.events.push_back(ev);
-    }
+    for (const auto& [index, ev] : copied)
+      if (index >= oldest_valid) dump.events.push_back(ev);
     out.push_back(std::move(dump));
   }
   return out;

@@ -25,13 +25,22 @@
 //   AotCacheProbe 1 if hit           0
 //   AotCompile    source bytes       0
 //   AotDlopen     0                  0
-//   AotRun        timesteps          0
 //   Crash         rank               step
+//
+// Rings belong to the recorder and are lent to threads: a thread that
+// exits hands its ring back, and the next new thread continues it (same
+// tid, count still monotonic), so thread churn — four simmpi rank threads
+// per distributed run — costs no memory beyond the peak thread count.  An
+// exited thread's events stay drainable until the new owner overwrites
+// them.
 //
 // Draining is wait-free for writers: the reader snapshots each ring and
 // keeps only events whose stored per-thread sequence number is provably
 // not overwritten mid-copy (a seqlock-lite validity window), so a drain
-// concurrent with writers yields a consistent suffix per thread.  The
+// concurrent with writers yields a consistent suffix per thread.  Slot
+// fields are written and copied with relaxed atomic accesses, ordered by a
+// fence pair around the sequence number, so the race is benign by the
+// language rules too (the TSan job runs this concurrently).  The
 // resilience layer calls flight_dump_json() when a rank crashes so chaos
 // reports carry the last-N events per thread (schema "msc-flight-v1").
 
@@ -56,7 +65,6 @@ enum class FlightKind : std::uint8_t {
   AotCacheProbe,  ///< memory+disk cache lookup for a compiled module
   AotCompile,     ///< host cc invocation
   AotDlopen,      ///< dlopen + symbol/ABI validation
-  AotRun,         ///< the dlopen'd kernel's whole time loop
   Crash,          ///< a fault-plan crash fired (instant, dur 0)
 };
 
@@ -79,8 +87,8 @@ std::uint64_t flight_now_ns();
 
 /// One thread's drained suffix, oldest first.
 struct FlightThreadDump {
-  int tid = 0;                      ///< stable small id, first-seen order
-  std::uint64_t recorded = 0;       ///< events ever recorded by this thread
+  int tid = 0;                      ///< ring id, creation order (reused rings keep it)
+  std::uint64_t recorded = 0;       ///< events ever recorded into this ring
   std::vector<FlightEvent> events;  ///< surviving suffix (<= ring capacity)
 };
 
@@ -90,11 +98,16 @@ class FlightRecorder {
   /// per thread, enough to hold several full timesteps of chunk spans.
   static constexpr std::size_t kRingCapacity = 1024;
 
+  FlightRecorder();
+  ~FlightRecorder();
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
+
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   /// Records one event from the calling thread (wait-free: ring slot store
-  /// + release counter bump; first call per thread registers its ring).
+  /// + release counter bump; a thread's first call claims a ring).
   void record(FlightKind kind, std::uint64_t start_ns, std::uint64_t end_ns,
               std::int64_t a = 0, std::int64_t b = 0);
 
@@ -116,6 +129,8 @@ class FlightRecorder {
     // Written only by the owning thread; count published with release so a
     // drain's acquire load sees fully-stored events below it.
     std::atomic<std::uint64_t> count{0};
+    // Set when the owning thread exits; cleared when a new thread claims it.
+    std::atomic<bool> released{false};
     std::array<FlightEvent, kRingCapacity> events;
   };
 
@@ -124,7 +139,7 @@ class FlightRecorder {
   const std::uint64_t id_ = next_recorder_id();
   static std::uint64_t next_recorder_id();
   std::atomic<bool> enabled_{true};
-  mutable std::mutex registry_mutex_;  // ring registration + drain snapshot
+  mutable std::mutex registry_mutex_;  // ring claims + drain snapshot
   std::vector<std::unique_ptr<ThreadRing>> rings_;
 };
 

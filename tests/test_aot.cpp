@@ -1,12 +1,15 @@
 // Tests of the AOT dlopen host backend: term-count routing pins, the
-// specialized emitter's full-unroll contract, bit-identity against the
-// in-process sweep engine (including >16-term stencils the sweep runs
-// through its register-blocked kernel), the compile cache's hit/stale/evict
-// behavior, dlclose discipline, and the graceful no-compiler fallback.
+// specialized emitter's row-kernel-only, full-unroll contract, bit-identity
+// against the in-process sweep engine (including >16-term stencils the
+// sweep runs through its register-blocked kernel, parallel and periodic
+// runs, and time_tile schedules through the wedge engine), the compile
+// cache's hit/stale/evict behavior, dlclose discipline, and the graceful
+// no-compiler fallback.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -20,6 +23,7 @@
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
 #include "exec/sweep.hpp"
+#include "prof/counters.hpp"
 #include "support/shell.hpp"
 #include "workload/stencils.hpp"
 
@@ -88,46 +92,66 @@ TEST(AotRouting, AotOracleIsRegistered) {
 
 // ---- emitter -------------------------------------------------------------
 
-TEST(AotEmitter, UnrollsEveryTermWithConstantExtents) {
+TEST(AotEmitter, EmitsOneRowKernelWithEveryTermUnrolled) {
   auto prog = small_benchmark("2d121pt_box");
   const auto lin = linearize_stencil(prog->stencil(), prog->bindings());
   ASSERT_TRUE(lin.has_value());
-  const auto spec =
-      codegen::make_aot_spec(prog->stencil(), prog->primary_schedule(), *lin);
-  const std::string src = codegen::gen_aot_kernel(spec);
+  const std::string src = codegen::gen_aot_kernel(codegen::make_aot_spec(prog->stencil(), *lin));
 
   // One straight-line accumulation statement per linear term — no term
   // loop, no 16/32 cap.  (The banner comment also says "acc +=", so count
   // the load pattern only term statements contain.)
   EXPECT_EQ(count_occurrences(src, "* (double)in_m"), lin->terms.size());
-  // The ABI surface is complete and the geometry is baked in as constants.
-  EXPECT_NE(src.find("msc_aot_run"), std::string::npos);
+  // The module is a row kernel with the sweep's RowFn signature and no
+  // driver of its own: one loop (the row), no time loop, no slot rotation.
+  EXPECT_NE(src.find("void msc_aot_row(double *restrict out, int64_t base, int64_t n, "
+                     "const struct msc_term *restrict terms)"),
+            std::string::npos);
+  EXPECT_EQ(count_occurrences(src, "for ("), 1u);
+  EXPECT_EQ(src.find("msc_aot_run"), std::string::npos);
+  EXPECT_EQ(src.find("msc_aot_window"), std::string::npos);
+  EXPECT_EQ(src.find("MSC_SLOT"), std::string::npos);
+  EXPECT_EQ(count_occurrences(src, "\nMSC_EXPORT "), 3u) << "row, padded_points, abi";
   EXPECT_NE(src.find("msc_aot_padded_points"), std::string::npos);
-  EXPECT_NE(src.find("msc_aot_window"), std::string::npos);
   EXPECT_NE(src.find("msc_aot_abi"), std::string::npos);
-  EXPECT_NE(src.find("c0 < 24"), std::string::npos) << "interior extent must be a literal";
+  // Geometry is baked in: the corner term (-5, -5) of the 121-point box is
+  // a constant delta over the padded row stride.
+  const std::int64_t halo = prog->stencil().state()->halo();
+  const std::int64_t row = 24 + 2 * halo;
+  EXPECT_NE(src.find("[i - " + std::to_string(5 * row + 5) + "]"), std::string::npos);
+  EXPECT_NE(src.find("return " + std::to_string(row * row) + "L;"), std::string::npos);
 }
 
-TEST(AotEmitter, SpecPicksUpTimeTileDepth) {
-  auto prog = small_benchmark("3d7pt_star");
-  prog->primary_kernel().time_tile(4);
-  const auto lin = linearize_stencil(prog->stencil(), prog->bindings());
-  ASSERT_TRUE(lin.has_value());
-  const auto spec =
-      codegen::make_aot_spec(prog->stencil(), prog->primary_schedule(), *lin);
-  EXPECT_EQ(spec.time_depth, 4);
+TEST(AotEmitter, ModuleIsScheduleIndependent) {
+  // The schedule reaches the drivers, not the module: every schedule of a
+  // stencil on one grid shares one compiled object.
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  auto plain = small_benchmark("3d7pt_star");
+  auto tiled = small_benchmark("3d7pt_star");
+  tiled->primary_kernel().time_tile(4);
+  AotOptions opts;
+  opts.cache_dir = scratch_dir("msc_aot_test_sched");
+  AotExecInfo a, b;
+  std::string why;
+  auto ma = detail::load_aot_module(plain->stencil(), plain->primary_schedule(),
+                                    plain->bindings(), opts, &a, &why);
+  ASSERT_NE(ma, nullptr) << why;
+  auto mb = detail::load_aot_module(tiled->stencil(), tiled->primary_schedule(),
+                                    tiled->bindings(), opts, &b, &why);
+  ASSERT_NE(mb, nullptr) << why;
+  EXPECT_EQ(a.plan_hash, b.plan_hash);
+  EXPECT_TRUE(b.cache_hit);
 }
 
 // ---- bit-identity against the sweep engine -------------------------------
 
 // Runs the sweep engine and the AOT module from identically seeded twins
-// and requires bit-identical interiors at the final step.
-void expect_aot_bit_identical(const std::string& bench, std::int64_t steps,
-                              const std::string& cache_dir) {
-  SCOPED_TRACE(bench);
-  auto prog = small_benchmark(bench);
-  const auto& st = prog->stencil();
-  const auto& sched = prog->primary_schedule();
+// and requires every ring slot, halos included, to be bit-identical.
+void expect_aot_matches_sweep(const dsl::Program& prog, std::int64_t steps,
+                              const std::string& cache_dir,
+                              Boundary bc = Boundary::ZeroHalo) {
+  const auto& st = prog.stencil();
+  const auto& sched = prog.primary_schedule();
 
   GridStorage<double> gs(st.state());
   GridStorage<double> ga(st.state());
@@ -135,21 +159,18 @@ void expect_aot_bit_identical(const std::string& bench, std::int64_t steps,
     gs.fill_random(s, 42 + static_cast<std::uint64_t>(s));
     ga.fill_random(s, 42 + static_cast<std::uint64_t>(s));
   }
-  run_scheduled(st, sched, gs, 1, steps, Boundary::ZeroHalo, prog->bindings());
+  run_scheduled(st, sched, gs, 1, steps, bc, prog.bindings());
 
   AotOptions opts;
   opts.cache_dir = cache_dir;
   AotExecInfo info;
-  run_scheduled_aot(st, sched, ga, 1, steps, Boundary::ZeroHalo, prog->bindings(),
-                    nullptr, &info, opts);
+  run_scheduled_aot(st, sched, ga, 1, steps, bc, prog.bindings(), nullptr, &info, opts);
   ASSERT_TRUE(info.aot) << "unexpected fallback: " << info.fallback_reason;
 
-  const int fs_slot = gs.slot_for_time(steps);
-  const auto vs = gs.interior_values(fs_slot);
-  const auto va = ga.interior_values(fs_slot);
-  ASSERT_EQ(vs.size(), va.size());
-  for (std::size_t p = 0; p < vs.size(); ++p)
-    ASSERT_EQ(vs[p], va[p]) << bench << ": first divergence at flat index " << p;
+  const auto per_slot = static_cast<std::size_t>(gs.padded_points());
+  for (int s = 0; s < gs.slots(); ++s)
+    ASSERT_EQ(std::memcmp(gs.slot_data(s), ga.slot_data(s), per_slot * sizeof(double)), 0)
+        << st.name() << ": slot " << s << " differs";
 }
 
 TEST(AotBackend, BitIdenticalToSweepAcrossRoutingBands) {
@@ -157,36 +178,112 @@ TEST(AotBackend, BitIdenticalToSweepAcrossRoutingBands) {
   const std::string dir = scratch_dir("msc_aot_test_bits");
   // Both sweep routing bands: fused (<=16 terms) and blocked, at a modest
   // and at the largest term count of the standard workloads.
-  expect_aot_bit_identical("3d7pt_star", 4, dir);    // 14 terms  -> fused
-  expect_aot_bit_identical("3d13pt_star", 4, dir);   // 26 terms  -> blocked
-  expect_aot_bit_identical("2d121pt_box", 3, dir);   // 242 terms -> blocked
+  expect_aot_matches_sweep(*small_benchmark("3d7pt_star"), 4, dir);   // 14 terms  -> fused
+  expect_aot_matches_sweep(*small_benchmark("3d13pt_star"), 4, dir);  // 26 terms  -> blocked
+  expect_aot_matches_sweep(*small_benchmark("2d121pt_box"), 3, dir);  // 242 terms -> blocked
 }
 
-TEST(AotBackend, BitIdenticalWithTimeTiledSchedule) {
+TEST(AotBackend, TimeTiledScheduleRunsThroughWedgeEngineBitIdentically) {
   if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
-  const std::string dir = scratch_dir("msc_aot_test_tt");
   auto prog = small_benchmark("2d9pt_box");
   prog->primary_kernel().time_tile(3);
-  const auto& st = prog->stencil();
-  const auto& sched = prog->primary_schedule();
-  GridStorage<double> gs(st.state());
-  GridStorage<double> ga(st.state());
-  for (int s = 0; s < gs.slots(); ++s) {
-    gs.fill_random(s, 7 + static_cast<std::uint64_t>(s));
-    ga.fill_random(s, 7 + static_cast<std::uint64_t>(s));
+  auto& blocks = prof::counter("sweep.temporal.blocks");
+  auto& steps = prof::counter("exec.timesteps");
+  const std::int64_t blocks_before = blocks.value();
+  const std::int64_t steps_before = steps.value();
+  // 7 steps: two full depth-3 blocks plus a remainder step.  The sweep
+  // twin runs per step, so every block counted here is the AOT run's.
+  expect_aot_matches_sweep(*prog, 7, scratch_dir("msc_aot_test_tt"));
+  EXPECT_EQ(blocks.value() - blocks_before, 3);
+  EXPECT_EQ(steps.value() - steps_before, 14);
+}
+
+TEST(AotBackend, ParallelScheduleBitIdentical) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  // The "cpu" schedule marks the outermost tile loop parallel, so the tile
+  // list is chunked over the process pool with the AOT row kernel.
+  for (const char* bench : {"3d7pt_star", "2d121pt_box"}) {
+    SCOPED_TRACE(bench);
+    auto prog = small_benchmark(bench);
+    workload::apply_msc_schedule(*prog, workload::benchmark(bench), "cpu", {4, 8, 0});
+    ASSERT_TRUE(lower_sweep(build_loop_plan(prog->primary_schedule())).parallel);
+    expect_aot_matches_sweep(*prog, 3, scratch_dir("msc_aot_test_par"));
   }
-  // 7 steps: two full depth-3 blocks plus a remainder step.
-  run_scheduled(st, sched, gs, 1, 7, Boundary::ZeroHalo, prog->bindings());
+}
+
+TEST(AotBackend, PeriodicBoundaryBitIdentical) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  // The driver refills wrapped halos after every step, so a periodic run
+  // uses the compiled kernel instead of falling back.
+  for (const char* bench : {"2d9pt_box", "3d13pt_star"}) {
+    SCOPED_TRACE(bench);
+    expect_aot_matches_sweep(*small_benchmark(bench), 4, scratch_dir("msc_aot_test_periodic"),
+                             Boundary::Periodic);
+  }
+}
+
+// Marks every point it is asked to compute, so a test can see which rows a
+// driver handed to an injected row kernel.
+void marker_row(double* out, std::int64_t base, std::int64_t n,
+                const detail::ResolvedTerm<double>* /*terms*/) {
+  for (std::int64_t i = 0; i < n; ++i) out[base + i] = 7.0;
+}
+
+TEST(AotBackend, BothDriversRunAnInjectedRowKernelOnEveryPoint) {
+  // The row-kernel parameter must reach sweep_tile from the per-step
+  // driver (parallel chunks included) and from the wedge engine.
+  for (const std::int64_t depth : {1, 3}) {
+    SCOPED_TRACE("time_tile depth " + std::to_string(depth));
+    auto prog = small_benchmark("3d7pt_star");
+    workload::apply_msc_schedule(*prog, workload::benchmark("3d7pt_star"), "cpu", {4, 8, 0});
+    if (depth > 1) prog->primary_kernel().time_tile(depth);
+    const auto& st = prog->stencil();
+    GridStorage<double> g(st.state());
+    for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 5);
+    if (depth > 1)
+      detail::run_scheduled_temporal_rows(st, prog->primary_schedule(), g, 1, 4,
+                                          Boundary::ZeroHalo, prog->bindings(), nullptr,
+                                          nullptr, {}, nullptr, &marker_row);
+    else
+      detail::run_scheduled_rows(st, prog->primary_schedule(), g, 1, 4, Boundary::ZeroHalo,
+                                 prog->bindings(), nullptr, nullptr, &marker_row);
+    for (std::int64_t t = 1; t <= 4; ++t)
+      for (const double v : g.interior_values(g.slot_for_time(t))) ASSERT_EQ(v, 7.0) << t;
+  }
+}
+
+TEST(AotBackend, ModuleRowKernelMatchesSweepRowOnOddSpans) {
+  // msc_aot_row called directly with the sweep's ResolvedTerm array: every
+  // (base, n) split of a row, including n not a multiple of the vector
+  // width, must match the built-in kernels bit for bit and write nothing
+  // outside [base, base + n).
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  auto prog = small_benchmark("3d13pt_star");
+  const auto& st = prog->stencil();
   AotOptions opts;
-  opts.cache_dir = dir;
-  AotExecInfo info;
-  run_scheduled_aot(st, sched, ga, 1, 7, Boundary::ZeroHalo, prog->bindings(), nullptr,
-                    &info, opts);
-  ASSERT_TRUE(info.aot) << info.fallback_reason;
-  const int fs_slot = gs.slot_for_time(7);
-  const auto vs = gs.interior_values(fs_slot);
-  const auto va = ga.interior_values(fs_slot);
-  for (std::size_t p = 0; p < vs.size(); ++p) ASSERT_EQ(vs[p], va[p]) << p;
+  opts.cache_dir = scratch_dir("msc_aot_test_row");
+  std::string why;
+  auto mod = detail::load_aot_module(st, prog->primary_schedule(), prog->bindings(), opts,
+                                     nullptr, &why);
+  ASSERT_NE(mod, nullptr) << why;
+  const auto row = reinterpret_cast<detail::RowFn<double>>(mod->row);
+
+  GridStorage<double> g(st.state());
+  for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 17 + static_cast<std::uint64_t>(s));
+  const auto lin = linearize_stencil(st, prog->bindings());
+  ASSERT_TRUE(lin.has_value());
+  const auto terms = resolve_terms(*lin, g, 1);
+  const std::int64_t first = g.index({10, 11, 0});
+  const auto per_slot = static_cast<std::size_t>(g.padded_points());
+  for (const std::int64_t off : {0, 1, 3, 7}) {
+    for (const std::int64_t n : std::initializer_list<std::int64_t>{1, 3, 4, 5, 13, 24 - off}) {
+      std::vector<double> want(per_slot, -1.0), got(per_slot, -1.0);
+      detail::sweep_row(want.data(), first + off, n, terms);
+      row(got.data(), first + off, n, terms.data());
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), per_slot * sizeof(double)), 0)
+          << "off " << off << " n " << n;
+    }
+  }
 }
 
 TEST(AotBackend, ProgramRunDispatchesThroughBackendSelector) {
@@ -335,7 +432,7 @@ TEST(AotBackend, ModulesAreDlclosedAtTeardown) {
                       Boundary::ZeroHalo, prog->bindings(), nullptr, &info, opts);
     ASSERT_TRUE(info.aot) << info.fallback_reason;
   }
-  // run_scheduled_aot holds the module only for the dispatch; nothing else
+  // run_scheduled_aot holds the module only for the run; nothing else
   // pins it, so the handle count must return to where it started.
   EXPECT_EQ(detail::AotModule::live(), before);
 }

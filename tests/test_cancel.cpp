@@ -393,7 +393,7 @@ TEST(CancelAot, BudgetTimeoutQuarantinesAndDegradesBitExactly) {
   EXPECT_EQ(exec::aot_quarantined_count(), 0);
 }
 
-TEST(CancelAot, PerStepDispatchCancelsBetweenStepsAndRestores) {
+TEST(CancelAot, RowChunkCheckpointsCancelMidRunAndRestore) {
   if (!host_cc_available()) GTEST_SKIP() << "no host cc";
   const std::string dir = scratch_dir("msc_cancel_aot_run");
   auto prog = small_benchmark("3d7pt_star", {24, 24, 24});
@@ -403,49 +403,51 @@ TEST(CancelAot, PerStepDispatchCancelsBetweenStepsAndRestores) {
   exec::AotOptions opts;
   opts.cache_dir = dir;
 
-  // Warm the compile cache with an unbounded run so the cancelled attempt
-  // below reaches the per-step dispatch loop instead of dying in compile.
-  exec::AotExecInfo warm;
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), grid, 1, 2,
-                          Boundary::ZeroHalo, prog->bindings(), nullptr, &warm, opts);
-  ASSERT_TRUE(warm.aot) << warm.fallback_reason;
+  // Hold the module so the cancelled run below loads it from the in-memory
+  // registry and spends its whole budget inside the driver.
+  std::string why;
+  const auto module = exec::detail::load_aot_module(
+      prog->stencil(), prog->primary_schedule(), prog->bindings(), opts, nullptr, &why);
+  ASSERT_NE(module, nullptr) << why;
 
-  seed(grid);
   const GridStorage<double> before = grid;
-  CancelToken token(Deadline::after_ms(15));
+  CancelToken token(Deadline::after_ms(50));
   try {
-    exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), grid, 1, 5000,
+    exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), grid, 1, 20000,
                             Boundary::ZeroHalo, prog->bindings(), nullptr, nullptr, opts,
                             &token);
     GTEST_SKIP() << "machine outran the deadline; nothing to verify";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.code(), ErrorCode::DeadlineExpired);
+    // The compiled rows run under run_scheduled, so the sweep's row-chunk
+    // checkpoint is what stops them.
+    EXPECT_EQ(c.site(), "sweep.row_chunk");
   }
   EXPECT_TRUE(grids_identical(grid, before));
 }
 
-TEST(CancelAot, ArmedTokenDispatchMatchesSingleCallBitExactly) {
+TEST(CancelAot, ArmedTokenRunMatchesUnarmedBitExactly) {
   if (!host_cc_available()) GTEST_SKIP() << "no host cc";
   const std::string dir = scratch_dir("msc_cancel_aot_steps");
   auto prog = small_benchmark("3d7pt_star");
-  GridStorage<double> stepped(prog->stencil().state());
-  GridStorage<double> whole(prog->stencil().state());
-  seed(stepped);
-  seed(whole);
+  GridStorage<double> armed(prog->stencil().state());
+  GridStorage<double> unarmed(prog->stencil().state());
+  seed(armed);
+  seed(unarmed);
 
   exec::AotOptions opts;
   opts.cache_dir = dir;
   CancelToken token(Deadline::after_ms(60000));
 
   exec::AotExecInfo ia, ib;
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), stepped, 1, 6,
+  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), armed, 1, 6,
                           Boundary::ZeroHalo, prog->bindings(), nullptr, &ia, opts,
                           &token);
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), whole, 1, 6,
+  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), unarmed, 1, 6,
                           Boundary::ZeroHalo, prog->bindings(), nullptr, &ib, opts);
   ASSERT_TRUE(ia.aot) << ia.fallback_reason;
   ASSERT_TRUE(ib.aot) << ib.fallback_reason;
-  EXPECT_TRUE(grids_identical(stepped, whole));
+  EXPECT_TRUE(grids_identical(armed, unarmed));
 }
 
 // ---- simmpi: deadline-clamped waits --------------------------------------

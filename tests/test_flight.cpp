@@ -97,6 +97,7 @@ TEST(Flight, ConcurrentWritersVsDrainYieldConsistentSuffixes) {
   constexpr int kWriters = 4;
   constexpr std::int64_t kPerWriter = 20000;
   std::atomic<bool> go{false};
+  std::atomic<int> finished{0};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w)
     writers.emplace_back([&, w] {
@@ -105,6 +106,10 @@ TEST(Flight, ConcurrentWritersVsDrainYieldConsistentSuffixes) {
       for (std::int64_t i = 0; i < kPerWriter; ++i)
         rec.record(FlightKind::RowChunk, static_cast<std::uint64_t>(i),
                    static_cast<std::uint64_t>(i) + 1, i, w);
+      // Stay alive until every writer is done: an exited writer's ring
+      // would go to a writer that had not claimed one yet.
+      finished.fetch_add(1);
+      while (finished.load() < kWriters) std::this_thread::yield();
     });
 
   go.store(true);
@@ -130,6 +135,81 @@ TEST(Flight, ConcurrentWritersVsDrainYieldConsistentSuffixes) {
     EXPECT_EQ(d.events.size(), FlightRecorder::kRingCapacity);
     EXPECT_EQ(d.events.back().a, kPerWriter - 1);
   }
+}
+
+// ---- ring reuse across thread lifetimes --------------------------------
+
+TEST(Flight, ExitedThreadsRingIsReusedAndStaysDrainableUntilThen) {
+  FlightRecorder rec;
+  std::thread([&] {
+    for (int i = 0; i < 5; ++i) rec.record(FlightKind::Step, 0, 1, i);
+  }).join();
+  auto dumps = rec.drain();
+  ASSERT_EQ(dumps.size(), 1u);
+  ASSERT_EQ(dumps[0].events.size(), 5u) << "a finished thread's events stay drainable";
+
+  std::thread([&] {
+    for (int i = 5; i < 8; ++i) rec.record(FlightKind::Step, 0, 1, i);
+  }).join();
+  dumps = rec.drain();
+  ASSERT_EQ(dumps.size(), 1u) << "the second thread must reuse the first one's ring";
+  EXPECT_EQ(dumps[0].recorded, 8u) << "the ring count stays monotonic across owners";
+  ASSERT_EQ(dumps[0].events.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(dumps[0].events[i].a, static_cast<std::int64_t>(i));
+    EXPECT_EQ(dumps[0].events[i].seq, static_cast<std::uint32_t>(i));
+  }
+}
+
+TEST(Flight, SequentialThreadBatchesKeepRingCountAtPeakConcurrency) {
+  FlightRecorder rec;
+  constexpr int kBatches = 25;
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kPerThread = 3000;  // wraps the ring every few owners
+  std::atomic<bool> stop{false};
+  std::atomic<int> drains{0};
+  // A drain concurrent with thread exits and ring claims must still see
+  // consistent suffixes: consecutive sequence numbers within every ring.
+  std::thread drainer([&] {
+    while (!stop.load()) {
+      for (const auto& d : rec.drain()) {
+        for (std::size_t i = 1; i < d.events.size(); ++i)
+          ASSERT_EQ(d.events[i].seq, d.events[i - 1].seq + 1) << "torn drain on tid " << d.tid;
+      }
+      drains.fetch_add(1);
+    }
+  });
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<std::thread> batch;
+    for (int w = 0; w < kThreads; ++w)
+      batch.emplace_back([&] {
+        for (std::int64_t i = 0; i < kPerThread; ++i) rec.record(FlightKind::RowChunk, 0, 1, i);
+      });
+    for (auto& t : batch) t.join();
+  }
+  stop.store(true);
+  drainer.join();
+  EXPECT_GT(drains.load(), 0);
+
+  const auto dumps = rec.drain();
+  EXPECT_LE(dumps.size(), static_cast<std::size_t>(kThreads))
+      << "exited threads' rings must be reused, not leaked";
+  EXPECT_EQ(rec.total_recorded(),
+            static_cast<std::uint64_t>(kBatches) * kThreads * static_cast<std::uint64_t>(kPerThread));
+}
+
+TEST(Flight, ThreadExitAfterLocalRecorderDiesTouchesNothing) {
+  // The exit hook must skip rings of recorders that no longer exist (ASan
+  // would flag the write into the freed ring).
+  std::thread([] {
+    { FlightRecorder local; local.record(FlightKind::Step, 0, 1); }
+    FlightRecorder second;  // may reuse the freed address; fresh id
+    second.record(FlightKind::Step, 0, 1);
+    EXPECT_EQ(second.drain().size(), 1u);
+  }).join();
+  FlightRecorder after;
+  std::thread([&] { after.record(FlightKind::Step, 0, 1); }).join();
+  EXPECT_EQ(after.total_recorded(), 1u);
 }
 
 // ---- plan fingerprints --------------------------------------------------
