@@ -1,9 +1,14 @@
-// Host-executor throughput ledger: the interpreted per-point loop nest vs
-// the compiled row-sweep engine (exec/sweep.hpp) on the *real* execution
-// paths, wall-clock on the build host.  The gated metric is the
-// interpreter→compiled `speedup` ratio — a pure ratio of two runs on the
-// same machine, so the bench-history gate stays meaningful across hosts —
-// while absolute points/s rows ride along as informational context.
+// Host-executor throughput ledger: the scheduled row sweep (run_scheduled,
+// the schedule's tiles and parallel chunks) and the reference sweep
+// (run_reference, one full-interior tile on the calling thread) on the
+// *real* execution paths, wall-clock on the build host.  The gated metrics
+// are each arm's absolute rate, `compiled_gflops` and `reference_gflops`
+// (2 flops per linear term per point over the arm's best interleaved
+// repetition), so neither arm serves as the other's denominator; points/s
+// rows ride along as informational context.  The pool width and the build
+// type are part of the config, so a ledger seeded on one core never judges
+// a multi-core run and Release runs never judge a RelWithDebInfo build (the
+// two compile the fused row kernels several-fold apart).
 //
 // The run also asserts that both paths produce bit-identical grids before
 // timing anything; a perf number for a wrong kernel is worthless.
@@ -18,7 +23,9 @@
 #include "exec/executor.hpp"
 #include "prof/bench_report.hpp"
 #include "prof/counters.hpp"
+#include "support/strings.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 #include "workload/report.hpp"
 #include "workload/stencils.hpp"
 
@@ -30,10 +37,10 @@ constexpr std::int64_t kSteps = 4;   // timesteps per measured repetition
 constexpr int kReps = 5;             // best-of per arm to shed scheduler noise
 
 struct Measured {
-  double interpreted_pps = 0.0;
   double compiled_pps = 0.0;
   double reference_pps = 0.0;
-  double speedup = 0.0;
+  double compiled_gflops = 0.0;
+  double reference_gflops = 0.0;
 };
 
 std::string fmt_rate(double pps) {
@@ -73,7 +80,7 @@ Measured measure(const workload::BenchmarkInfo& info, std::array<std::int64_t, 3
   bench::require_bit_identical<double>(
       st,
       [&](exec::GridStorage<double>& g) {
-        exec::run_scheduled_interpreted(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
+        exec::run_reference(st, g, 1, kSteps, exec::Boundary::ZeroHalo);
       },
       [&](exec::GridStorage<double>& g) {
         exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
@@ -84,29 +91,27 @@ Measured measure(const workload::BenchmarkInfo& info, std::array<std::int64_t, 3
   for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 1);
   const double points =
       static_cast<double>(st.state()->interior_points()) * static_cast<double>(kSteps);
+  const double flops_per_point =
+      2.0 * static_cast<double>(exec::linearize_stencil(st, {})->terms.size());
 
   // Warm-up one step per path (page faults, pool spin-up).
-  exec::run_scheduled_interpreted(st, sched, g, 1, 1, exec::Boundary::ZeroHalo);
   exec::run_scheduled(st, sched, g, 1, 1, exec::Boundary::ZeroHalo);
   exec::run_reference(st, g, 1, 1, exec::Boundary::ZeroHalo);
 
-  // Interleaved arms: every rep runs interpreter -> compiled -> reference,
-  // so a noisy neighbour or a clock change lands on all three alike instead
-  // of on whichever arm happened to be timing; each arm keeps its best rep.
+  // Interleaved arms: every rep runs compiled -> reference, so a noisy
+  // neighbour or a clock change lands on both alike instead of on whichever
+  // arm happened to be timing; each arm keeps its best rep.
   Measured m;
-  double ti = 1e300, tc = 1e300, tr = 1e300;
+  double tc = 1e300, tr = 1e300;
   for (int r = 0; r < kReps; ++r) {
-    time_into(ti, [&] {
-      exec::run_scheduled_interpreted(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
-    });
     time_into(tc,
               [&] { exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo); });
     time_into(tr, [&] { exec::run_reference(st, g, 1, kSteps, exec::Boundary::ZeroHalo); });
   }
-  m.interpreted_pps = points / ti;
   m.compiled_pps = points / tc;
   m.reference_pps = points / tr;
-  m.speedup = ti / tc;
+  m.compiled_gflops = m.compiled_pps * flops_per_point / 1e9;
+  m.reference_gflops = m.reference_pps * flops_per_point / 1e9;
   return m;
 }
 
@@ -115,8 +120,8 @@ Measured measure(const workload::BenchmarkInfo& info, std::array<std::int64_t, 3
 int main() {
   using namespace msc;
   workload::print_banner(
-      "Host executor — interpreted loop nest vs compiled row sweep",
-      "same schedule, same numerics (bit-checked); rows are stride-1 pointer loops");
+      "Host executor — scheduled row sweep and full-tile reference sweep",
+      "same numerics (bit-checked); gated on each arm's absolute GF/s");
 
   prof::global_counters().reset();
   const auto wall0 = std::chrono::steady_clock::now();
@@ -125,6 +130,10 @@ int main() {
   report.set_config("dtype", "f64");
   report.set_config("grid_3d", "64x64x64");
   report.set_config("grid_2d", "512x512");
+  report.set_config("reps", kReps);
+  report.set_config("threads", static_cast<long long>(global_pool().size()));
+  report.set_config("metric", "per_arm_gflops");
+  report.set_config("build", MSC_BUILD_TYPE);
 
   struct Row {
     const char* name;
@@ -138,24 +147,25 @@ int main() {
       {"2d9pt_star", {512, 512, 0}, {32, 64, 0}},
   };
 
-  TextTable t({"benchmark", "interpreted pt/s", "compiled pt/s", "reference pt/s", "speedup"});
+  TextTable t({"benchmark", "compiled pt/s", "reference pt/s", "compiled GF/s",
+               "reference GF/s"});
   for (const auto& r : rows) {
     const auto& info = workload::benchmark(r.name);
     const Measured m = measure(info, r.grid, r.tile);
-    t.add_row({r.name, fmt_rate(m.interpreted_pps), fmt_rate(m.compiled_pps),
-               fmt_rate(m.reference_pps), workload::fmt_ratio(m.speedup)});
+    t.add_row({r.name, fmt_rate(m.compiled_pps), fmt_rate(m.reference_pps),
+               strprintf("%.2f", m.compiled_gflops), strprintf("%.2f", m.reference_gflops)});
 
     workload::Json row = workload::Json::object();
     row["benchmark"] = workload::Json::string(r.name);
-    row["speedup"] = workload::Json::number(m.speedup);
-    row["interpreted_points_per_s"] = workload::Json::number(m.interpreted_pps);
+    row["compiled_gflops"] = workload::Json::number(m.compiled_gflops);
+    row["reference_gflops"] = workload::Json::number(m.reference_gflops);
     row["compiled_points_per_s"] = workload::Json::number(m.compiled_pps);
     row["reference_points_per_s"] = workload::Json::number(m.reference_pps);
     report.add_result(std::move(row));
   }
   std::printf("%s\n", t.render().c_str());
-  std::printf("the speedup is the whole point of compiling the sweep: the interpreter pays a\n"
-              "closure call and an index rebuild per point, the row loop pays them per row.\n");
+  std::printf("compiled runs the schedule's tiles (chunked over the pool when parallel);\n"
+              "reference sweeps one full-interior tile on the calling thread.\n");
 
   report.capture_global_counters();
   report.set_wall_seconds(

@@ -8,7 +8,7 @@
 // noise (thermal, scheduler) that best-of-N per engine would fold into the
 // ratio.
 //
-// Both engines are bit-checked against the interpreter oracle before any
+// The wedge engine is bit-checked against the per-step engine before any
 // timing (bench/verify.hpp); the run aborts if the temporal engine silently
 // fell back to the per-step path, so this ledger can never gate the wrong
 // kernel.
@@ -86,12 +86,12 @@ Measured measure(const Row& r) {
   topts.wedge_depth = r.wedge_depth;
   topts.wedge_width = r.wedge_width;
 
-  // Correctness first, once: both engines vs the interpreter oracle.
+  // Correctness first, once: the wedge engine vs the per-step engine.
   exec::TemporalExecInfo tinfo;
   bench::require_bit_identical<double>(
       st,
       [&](exec::GridStorage<double>& g) {
-        exec::run_scheduled_interpreted(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
+        exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
       },
       [&](exec::GridStorage<double>& g) {
         exec::run_scheduled_temporal(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo, {},

@@ -45,34 +45,23 @@ struct Timer {
   }
 };
 
-void finish(OracleRun& run, const exec::GridStorage<double>& state, std::int64_t t) {
-  const int slot = state.slot_for_time(t);
-  run.values = state.interior_values(slot);
-  run.checksum = state.interior_checksum(slot);
-  run.ok = true;
-}
-
 // ---- in-process oracles --------------------------------------------------
 
 OracleRun run_reference_oracle(const CaseSpec& spec) {
-  OracleRun run;
   auto prog = build_program(spec);
   exec::GridStorage<double> state(prog->stencil().state());
   seed_state(state);
-  exec::run_reference(prog->stencil(), state, 1, spec.timesteps, exec::Boundary::ZeroHalo);
-  finish(run, state, spec.timesteps);
-  return run;
+  exec::run_pointwise(prog->stencil(), state, 1, spec.timesteps, exec::Boundary::ZeroHalo);
+  return run_from_grid(state, spec.timesteps);
 }
 
 OracleRun run_scheduled_oracle(const CaseSpec& spec) {
-  OracleRun run;
   auto prog = build_program(spec);
   exec::GridStorage<double> state(prog->stencil().state());
   seed_state(state);
   exec::run_scheduled(prog->stencil(), prog->primary_schedule(), state, 1, spec.timesteps,
                       exec::Boundary::ZeroHalo);
-  finish(run, state, spec.timesteps);
-  return run;
+  return run_from_grid(state, spec.timesteps);
 }
 
 OracleRun run_sunway_sim_oracle(const CaseSpec& spec) {
@@ -93,8 +82,7 @@ OracleRun run_sunway_sim_oracle(const CaseSpec& spec) {
   seed_state(state);
   sunway::run_cg_sim(prog->stencil(), prog->primary_schedule(), state, 1, spec.timesteps,
                      exec::Boundary::ZeroHalo, {}, m);
-  finish(run, state, spec.timesteps);
-  return run;
+  return run_from_grid(state, spec.timesteps);
 }
 
 OracleRun run_simmpi_oracle(const CaseSpec& spec, const OracleOptions& opts) {
@@ -230,8 +218,7 @@ OracleRun run_aot_oracle(const CaseSpec& spec, const OracleOptions& opts) {
                info.fallback_reason;
     return run;
   }
-  finish(run, state, spec.timesteps);
-  return run;
+  return run_from_grid(state, spec.timesteps);
 }
 
 // ---- compiled-backend oracles --------------------------------------------
@@ -393,6 +380,15 @@ OracleRun run_oracle(const CaseSpec& spec, Oracle o, const OracleOptions& opts) 
     run.note = std::string("exception: ") + e.what();
   }
   run.seconds = timer.seconds();
+  return run;
+}
+
+OracleRun run_from_grid(const exec::GridStorage<double>& state, std::int64_t t) {
+  OracleRun run;
+  const int slot = state.slot_for_time(t);
+  run.values = state.interior_values(slot);
+  run.checksum = state.interior_checksum(slot);
+  run.ok = true;
   return run;
 }
 

@@ -4,8 +4,11 @@
 // one CaseSpec is executed through every available lowering of the same
 // MSC program and the final grids are compared element-wise.
 //
-//   reference    — serial IR interpreter (exec::run_reference), the anchor
-//   scheduled    — schedule-interpreting host executor (exec::run_scheduled)
+//   reference    — the per-point IR evaluator (exec::run_pointwise), the
+//                  anchor: it walks the kernel expressions directly and
+//                  shares no lowering (linearization, term resolution, row
+//                  kernels) with the engines it judges
+//   scheduled    — the scheduled row-sweep host executor (exec::run_scheduled)
 //   c            — AOT-generated serial C, compiled with the host cc and run
 //   openmp       — AOT-generated OpenMP (Matrix) source, compiled and run
 //   athread      — AOT-generated Sunway master/slave pair under the pthread
@@ -20,7 +23,9 @@
 // All oracles seed the state grid identically (seed 42 + 0x51ed2701 * slot,
 // the scheme shared by Program::input and the generated mains), so agreeing
 // backends produce bit-identical grids; comparisons still allow a small ULP
-// budget for backends that accumulate in a different association order.
+// budget for backends that accumulate in a different association order (the
+// evaluator sums each kernel before weighting it, the engines sum flattened
+// weighted terms).
 
 #include <cstdint>
 #include <optional>
@@ -31,6 +36,11 @@
 
 namespace msc::resilience {
 struct FaultPlan;
+}
+
+namespace msc::exec {
+template <typename T>
+class GridStorage;
 }
 
 namespace msc::check {
@@ -89,6 +99,10 @@ bool compiler_available(const std::string& cc = "cc");
 
 /// Runs `spec` through one oracle.
 OracleRun run_oracle(const CaseSpec& spec, Oracle o, const OracleOptions& opts);
+
+/// An OracleRun holding the interior of `state`'s slot for time `t`, so
+/// in-process runs compare under compare_runs' criterion.
+OracleRun run_from_grid(const exec::GridStorage<double>& state, std::int64_t t);
 
 /// Ordered-bit ULP distance between two doubles (large for sign mismatch).
 std::int64_t ulp_distance(double a, double b);

@@ -1,32 +1,29 @@
 #pragma once
 
 // Plan-based halo exchanger (paper §4.4; cf. the 26/27-direction exchangers
-// of large production stencil codes).
+// of large production stencil codes), the one exchanger of the distributed
+// runners.
 //
-// The legacy exchanger (halo_exchange.hpp) moves corner and edge data by
-// rippling it through dimension-sequential face passes with a barrier
-// between dimensions, packing each face point by point into freshly
-// allocated vectors.  This module replaces that with a *plan* built once
-// per (decomposition, rank, halo): a compacted list of the active
-// directions among all 3^ndim-1 neighbor offsets — faces, edges, and
-// corners — each with its neighbor rank, tag pair, and the exact slab of
-// interior cells to send / halo cells to receive.  One exchange then is a
-// single phase: every receive is preposted, every direction packs with
-// contiguous inner-dimension memcpy rows into one persistently allocated
-// coalesced arena, and corner data arrives directly from the diagonal
-// neighbor instead of via two (or three) store-and-forward hops.
+// A *plan* is built once per (decomposition, rank, halo): a compacted list
+// of the active directions among all 3^ndim-1 neighbor offsets — faces,
+// edges, and corners — each with its neighbor rank, tag pair, and the
+// exact slab of interior cells to send / halo cells to receive.  One
+// exchange then is a single phase: every receive is preposted, every
+// direction packs with contiguous inner-dimension memcpy rows into one
+// persistently allocated coalesced arena, and corner data arrives directly
+// from the diagonal neighbor, with no barriers between dimensions.
 //
-// Bit-identity with the sequential exchange is not an accident, it is the
-// design invariant (and is pinned by differential tests): the sequential
-// scheme's corner values are pure copies relayed through intermediate
-// ranks' freshly filled halos, so the relayed bytes equal the diagonal
-// neighbor's interior bytes; inactive diagonals at non-periodic boundaries
-// relay never-written halo zeros, which equals leaving the (zero-filled at
-// init, never written since) corner untouched.
+// Correctness invariant (pinned by tests/test_halo_plan.cpp): after a
+// distributed run, every rank's full padded ring — interior, halos and
+// corners, every slot — equals the matching window of a single-grid run on
+// the global domain (Periodic halos where the decomposition wraps, zero
+// halos otherwise).  Halo cells outside a non-periodic global domain are
+// zero-filled at init and never written; inactive directions leave them
+// untouched.
 //
-// Tags encode the *direction index* (base-3 over the offset vector), in a
-// band disjoint from the legacy dim*2+side tags, so both exchangers can
-// coexist in one world — which is exactly what the differential tests do.
+// Tags encode the *direction index* (base-3 over the offset vector) in
+// their own band, so a plan exchange cannot match messages posted under
+// other tags in the same world.
 
 #include <array>
 #include <cstdint>
@@ -43,16 +40,15 @@
 
 namespace msc::comm {
 
-/// Statistics of one rank's participation in exchanges (shared with the
-/// legacy face-sequential exchanger in halo_exchange.hpp).
+/// Statistics of one rank's participation in exchanges.
 struct ExchangeStats {
   std::int64_t messages_sent = 0;
   std::int64_t bytes_sent = 0;
 };
 
-/// First plan tag; the legacy exchanger's tags live in [0, 2*ndim) and the
-/// plan's in [kPlanTagBase, kPlanTagBase + 27), so the two schemes never
-/// collide inside one SimWorld.
+/// First plan tag: plan messages use [kPlanTagBase, kPlanTagBase + 27),
+/// clear of the small tags callers use for their own point-to-point
+/// traffic in the same SimWorld.
 constexpr int kPlanTagBase = 100;
 
 /// Direction index of an offset vector in {-1,0,+1}^ndim: base-3 digits,
@@ -238,9 +234,7 @@ void finish_exchange_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWorkspace<
 }
 
 /// One full single-phase exchange: prepost + pack/send + wait + unpack.
-/// Drop-in replacement for the sequential exchange_halo — same final halo
-/// bytes (differential-tested), one phase, no barriers, no allocation in
-/// steady state.
+/// One phase, no barriers, no allocation in steady state.
 template <typename T>
 ExchangeStats exchange_halo_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWorkspace<T>& ws,
                                  exec::GridStorage<T>& g, int slot) {

@@ -2,17 +2,23 @@
 
 // Host executors for stencil programs.
 //
-//  * run_reference — serial, definition-order sweep straight off the IR;
-//    the ground truth for correctness checks (paper §5.1 measures relative
-//    error of generated code against exactly such a serial version).
+//  * run_pointwise — serial, definition-order walk of the IR through the
+//    per-point expression evaluator (exec/eval).  It shares no lowering
+//    with the engines (no linearization, no term resolution, no row
+//    kernel), which makes it the independent ground truth: paper §5.1
+//    measures relative error of generated code against exactly such a
+//    serial version, and the conformance `reference` oracle runs it.
+//  * run_reference — the same serial semantics at engine speed: affine
+//    stencils run the row-sweep engine on one full-interior tile, anything
+//    else falls back to run_pointwise.  The distributed and checkpointed
+//    drivers call it once per rank per step.
 //  * run_scheduled — executes the kernel's Schedule through the compiled
 //    row-sweep engine (sweep.hpp): the loop nest is lowered once to a flat
 //    clamped tile list and every tile's innermost dimension runs as a
 //    stride-1 row loop; a parallel schedule chunks whole tiles over the
 //    process thread pool.
-//  * run_scheduled_interpreted — the retired per-point recursive nest
-//    interpreter, retained as the differential baseline the sweep engine
-//    is tested (and benchmarked) against.
+//  * run_scheduled_temporal — the same numerics through time-skewed wedges
+//    (temporal_sweep.hpp).
 //
 // All compute timesteps t_begin..t_end (inclusive) of a StencilDef,
 // writing the output of step t into the state grid's ring slot for t and
@@ -37,7 +43,6 @@
 #include "schedule/schedule.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace msc::exec {
 
@@ -101,67 +106,66 @@ class CancelGuard {
 
 }  // namespace detail
 
-/// Serial reference executor (ground truth).  Affine stencils run through
-/// the row-sweep engine on a single full-interior tile; stencils outside
-/// the affine fragment fall back to the per-point expression evaluator.
-/// Stencils whose kernels read auxiliary grids supply them via `aux`.
+namespace detail {
+
+/// The serial driver behind run_pointwise and run_reference.  A null `lin`
+/// evaluates every point through the IR evaluator; otherwise the affine
+/// form runs through the row-sweep engine on one full-interior tile.
 template <typename T>
-void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t t_begin,
-                   std::int64_t t_end, Boundary bc, const Bindings& bindings = {},
-                   ExecStats* stats = nullptr, const AuxGrids<T>& aux = {},
-                   const CancelToken* cancel = nullptr) {
+void run_serial(const ir::StencilDef& st, const LinearKernel* lin, GridStorage<T>& state,
+                std::int64_t t_begin, std::int64_t t_end, Boundary bc, const Bindings& bindings,
+                ExecStats* stats, const AuxGrids<T>& aux, const CancelToken* cancel) {
   MSC_CHECK(t_begin <= t_end) << "empty time range";
   MSC_CHECK(state.tensor()->name() == st.state()->name())
       << "grid '" << state.tensor()->name() << "' is not the stencil state '"
       << st.state()->name() << "'";
 
-  detail::CancelGuard<T> guard(state, cancel);
+  CancelGuard<T> guard(state, cancel);
   try {
   // Seed halos of the initial window slots.
   for (int back = 1; back < st.time_window(); ++back)
     state.fill_halo(state.slot_for_time(t_begin - back), bc);
 
-  const auto lin = linearize_stencil(st, bindings);
-  SweepPlan plan;
-  if (lin.has_value()) {
-    std::array<std::int64_t, 3> extent{1, 1, 1};
-    for (int d = 0; d < state.ndim(); ++d) extent[static_cast<std::size_t>(d)] = state.extent(d);
-    plan = full_sweep(state.ndim(), extent);
-  }
+  std::array<std::int64_t, 3> extent{1, 1, 1};
+  for (int d = 0; d < state.ndim(); ++d) extent[static_cast<std::size_t>(d)] = state.extent(d);
+  const SweepPlan plan = full_sweep(state.ndim(), extent);
+  // One evaluation environment per time term, rebuilt per step (its reader
+  // binds the term's absolute time) and re-pointed per point.
+  std::vector<EvalEnv> envs(lin == nullptr ? st.terms().size() : 0);
 
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
     const int out_slot = state.slot_for_time(t);
     T* out = state.slot_data(out_slot);
-
-    if (lin.has_value()) {
+    if (lin != nullptr) {
       const auto terms = resolve_terms(*lin, state, t);
       const SweepStats swept = run_sweep(plan, state, out, terms, cancel);
       if (stats != nullptr)
         stats->flops += 2 * static_cast<std::int64_t>(terms.size()) * swept.points;
     } else {
-      // The generic evaluator has no tile structure; step granularity is
-      // the checkpoint unit.
+      // The evaluator has no tile structure; step granularity is the
+      // checkpoint unit.
       if (cancel != nullptr) cancel->checkpoint_now("reference.step");
-      // Generic path: evaluate each time term's kernel RHS per point.
+      for (std::size_t n = 0; n < envs.size(); ++n) {
+        const std::int64_t term_time = t + st.terms()[n].time_offset;
+        envs[n].bindings = &bindings;
+        envs[n].read = [&state, &aux, term_time](const std::string& name, int toff,
+                                                 std::array<std::int64_t, 3> coord) -> double {
+          if (name == state.tensor()->name())
+            return static_cast<double>(state.at(state.slot_for_time(term_time + toff), coord));
+          const auto it = aux.find(name);
+          MSC_CHECK(it != aux.end())
+              << "stencil reads tensor '" << name << "' but no grid was supplied for it";
+          return static_cast<double>(it->second->at(0, coord));
+        };
+      }
       state.for_each_interior([&](std::array<std::int64_t, 3> c) {
         double acc = 0.0;
-        for (const auto& term : st.terms()) {
-          EvalEnv env;
-          env.bindings = &bindings;
+        for (std::size_t n = 0; n < envs.size(); ++n) {
+          const auto& term = st.terms()[n];
           const auto& axes = term.kernel->axes();
           for (std::size_t d = 0; d < axes.size(); ++d)
-            env.axis_values[axes[d].id_var] = c[d];
-          const std::int64_t term_time = t + term.time_offset;
-          env.read = [&](const std::string& name, int toff,
-                         std::array<std::int64_t, 3> coord) -> double {
-            if (name == state.tensor()->name())
-              return static_cast<double>(state.at(state.slot_for_time(term_time + toff), coord));
-            const auto it = aux.find(name);
-            MSC_CHECK(it != aux.end())
-                << "stencil reads tensor '" << name << "' but no grid was supplied for it";
-            return static_cast<double>(it->second->at(0, coord));
-          };
-          acc += term.weight * eval_expr(term.kernel->rhs(), env);
+            envs[n].axis_values[axes[d].id_var] = c[d];
+          acc += term.weight * eval_expr(term.kernel->rhs(), envs[n]);
         }
         out[state.index(c)] = static_cast<T>(acc);
       });
@@ -177,6 +181,35 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
     guard.restore();
     throw;
   }
+}
+
+}  // namespace detail
+
+/// Per-point IR evaluator (the independent ground truth).  Every interior
+/// point of every step evaluates each time term's kernel RHS with
+/// eval_expr, accumulates the weighted terms in double in definition order
+/// and rounds once to T.  Works for any stencil, affine or not; stencils
+/// whose kernels read auxiliary grids supply them via `aux`.
+template <typename T>
+void run_pointwise(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t t_begin,
+                   std::int64_t t_end, Boundary bc, const Bindings& bindings = {},
+                   ExecStats* stats = nullptr, const AuxGrids<T>& aux = {},
+                   const CancelToken* cancel = nullptr) {
+  detail::run_serial(st, nullptr, state, t_begin, t_end, bc, bindings, stats, aux, cancel);
+}
+
+/// Serial reference executor.  Affine stencils run through the row-sweep
+/// engine on a single full-interior tile; stencils outside the affine
+/// fragment fall back to run_pointwise.  Stencils whose kernels read
+/// auxiliary grids supply them via `aux`.
+template <typename T>
+void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t t_begin,
+                   std::int64_t t_end, Boundary bc, const Bindings& bindings = {},
+                   ExecStats* stats = nullptr, const AuxGrids<T>& aux = {},
+                   const CancelToken* cancel = nullptr) {
+  const auto lin = linearize_stencil(st, bindings);
+  detail::run_serial(st, lin.has_value() ? &*lin : nullptr, state, t_begin, t_end, bc, bindings,
+                     stats, aux, cancel);
 }
 
 namespace detail {
@@ -372,87 +405,6 @@ void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& 
                             const CancelToken* cancel = nullptr) {
   detail::run_scheduled_temporal_rows(st, sched, state, t_begin, t_end, bc, bindings, stats,
                                       info, topts, cancel, detail::RowFn<T>{});
-}
-
-/// The retired per-point interpreter: recurses through the schedule's loop
-/// nest once per output element.  Numerically identical to run_scheduled;
-/// kept as the baseline the sweep engine is differentially tested against
-/// and the "before" side of bench_host_executor's speedup measurement.
-template <typename T>
-void run_scheduled_interpreted(const ir::StencilDef& st, const schedule::Schedule& sched,
-                               GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
-                               Boundary bc, const Bindings& bindings = {},
-                               ExecStats* stats = nullptr) {
-  MSC_CHECK(t_begin <= t_end) << "empty time range";
-  const auto lin = linearize_stencil(st, bindings);
-  MSC_CHECK(lin.has_value())
-      << "run_scheduled_interpreted requires an affine stencil";
-
-  const LoopPlan plan = build_loop_plan(sched);
-  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
-  for (int d = 0; d < plan.ndim; ++d)
-    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
-        << "schedule extent mismatch in dim " << d;
-
-  for (int back = 1; back < st.time_window(); ++back)
-    state.fill_halo(state.slot_for_time(t_begin - back), bc);
-
-  for (std::int64_t t = t_begin; t <= t_end; ++t) {
-    const int out_slot = state.slot_for_time(t);
-    T* out = state.slot_data(out_slot);
-    const auto terms = resolve_terms(*lin, state, t);
-
-    // Recursive nest interpreter.  `base` accumulates tile origins from
-    // Outer levels; Inner/Original levels produce final coordinates.
-    auto run_nest = [&](auto&& self, std::size_t depth, std::array<std::int64_t, 3> base,
-                        std::array<std::int64_t, 3> coord) -> void {
-      if (depth == plan.levels.size()) {
-        detail::sweep_point_linear(out, state.index(coord), terms);
-        return;
-      }
-      const LoopLevel& lv = plan.levels[depth];
-      const auto d = static_cast<std::size_t>(lv.dim);
-
-      auto iterate = [&](std::int64_t lo, std::int64_t hi) {
-        auto b = base;
-        auto c = coord;
-        for (std::int64_t v = lo; v < hi; ++v) {
-          switch (lv.kind) {
-            case LoopLevel::Kind::Original:
-              c[d] = v;
-              break;
-            case LoopLevel::Kind::Outer:
-              b[d] = v * lv.tile;
-              break;
-            case LoopLevel::Kind::Inner:
-              c[d] = b[d] + v;
-              if (c[d] >= plan.extent[d]) continue;  // remainder tile clamp
-              break;
-          }
-          self(self, depth + 1, b, c);
-        }
-      };
-
-      if (lv.parallel && lv.threads > 1) {
-        global_pool().parallel_for(0, lv.trip,
-                                   [&](std::int64_t lo, std::int64_t hi) { iterate(lo, hi); });
-      } else {
-        iterate(0, lv.trip);
-      }
-    };
-    run_nest(run_nest, 0, {0, 0, 0}, {0, 0, 0});
-
-    state.fill_halo(out_slot, bc);
-    if (stats != nullptr) {
-      const std::int64_t step_points = state.tensor()->interior_points();
-      ++stats->timesteps;
-      stats->points_updated += step_points;
-      stats->flops += 2 * static_cast<std::int64_t>(terms.size()) * step_points;
-      stats->tiles_executed += plan.tiles_per_step;
-      stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read;
-      stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write;
-    }
-  }
 }
 
 }  // namespace msc::exec

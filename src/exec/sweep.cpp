@@ -262,9 +262,10 @@ SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
       SweepStats local;
       for (std::int64_t n = lo; n < hi; ++n) {
         // Row-chunk-granularity cancellation: one relaxed load per tile on
-        // the armed path, a single null test otherwise.  The throw unwinds
-        // through parallel_for, which rethrows Cancelled on the caller.
-        if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk");
+        // the armed path, a single null test otherwise, and a deadline
+        // clock read on the step's first tile.  The throw unwinds through
+        // parallel_for, which rethrows Cancelled on the caller.
+        if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk", n == 0);
         detail::sweep_tile(plan.tiles[static_cast<std::size_t>(n)], state, out, terms, local,
                            row);
       }
@@ -277,9 +278,10 @@ SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
     });
   } else {
     prof::FlightScope flight(prof::FlightKind::RowChunk, 0, ntiles);
-    for (const auto& tile : plan.tiles) {
-      if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk");
-      detail::sweep_tile(tile, state, out, terms, total, row);
+    for (std::int64_t n = 0; n < ntiles; ++n) {
+      if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk", n == 0);
+      detail::sweep_tile(plan.tiles[static_cast<std::size_t>(n)], state, out, terms, total,
+                         row);
     }
     total.tiles = ntiles;
     flight.set_a(total.points);

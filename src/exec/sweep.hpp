@@ -328,7 +328,9 @@ std::vector<detail::ResolvedTerm<T>> resolve_terms(const LinearKernel& lin,
 /// of the tile kernels, independent of what else the caller's TU contains.
 ///
 /// `cancel`, when non-null, is polled at row-chunk granularity (before each
-/// tile); a fired token throws Cancelled out of the sweep, leaving the
+/// tile, with a deadline clock read on the step's first tile so a deadline
+/// is seen at least once per step however few tiles a step has); a fired
+/// token throws Cancelled out of the sweep, leaving the
 /// current output slot partially written — callers that expose cancellation
 /// (exec::run_scheduled and friends) wrap the whole run in a slot snapshot
 /// so the caller-visible contract stays all-or-nothing.

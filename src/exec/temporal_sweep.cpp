@@ -96,8 +96,10 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
     for (const auto& wedge : set.wedges) {
       if (wedge.steps.empty()) continue;
       // Wedge-boundary cancellation: a wedge is the natural unit after
-      // which the in-place ring rotation is self-consistent again.
-      if (cancel != nullptr) cancel->checkpoint("temporal.wedge");
+      // which the in-place ring rotation is self-consistent again.  The
+      // block's first wedge reads the deadline clock (poll() amortizes it
+      // over 64 calls, more than a small block has wedges).
+      if (cancel != nullptr) cancel->checkpoint("temporal.wedge", wedges_run == 0);
       prof::TraceScope wedge_scope("temporal.wedge", "exec");
       wedge_scope.arg("w", static_cast<double>(wedge.index));
       prof::FlightScope wedge_flight(prof::FlightKind::Wedge, wedge.index,
@@ -149,7 +151,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
     for (std::int64_t c = cb; c < ce; ++c) {
       try {
         for (std::int64_t s = 0; s < set.depth; ++s) {
-          if (cancel != nullptr) cancel->checkpoint("temporal.wedge");
+          if (cancel != nullptr) cancel->checkpoint("temporal.wedge", c == 0 && s == 0);
           // Flight span only when a predecessor actually makes us spin, so
           // uncontended levels cost zero wait events.
           bool waited = false;

@@ -42,11 +42,13 @@
 // level counters (release/acquire), and the serial fast path is preserved
 // whenever the plan is serial or only one chunk exists.
 //
-// Numerics are bit-identical to run_scheduled / run_scheduled_interpreted:
-// every output element is written exactly once per step by the same
+// Numerics are bit-identical to run_scheduled and run_reference: every
+// output element is written exactly once per step by the same
 // detail::sweep_tile kernels with the same term order, so the wedge visit
 // order cannot change any value.  tests/test_temporal_tiling.cpp pins this
-// differentially across dtypes, depths and remainder shapes.
+// against run_scheduled across dtypes, depths and remainder shapes, and
+// checks the f64 numerics against the independent per-point evaluator
+// (run_pointwise).
 
 #include <array>
 #include <cstdint>
@@ -125,8 +127,10 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window,
 /// chunk-level wavefront DAG over `pool` (nullptr = global_pool()).
 /// Emits wedge-level trace spans and the sweep.temporal.* counters.
 ///
-/// `cancel`, when non-null, is polled at wedge boundaries and inside the
-/// done-counter spin of the parallel wavefront (a cancelled run must not
+/// `cancel`, when non-null, is polled at wedge boundaries (with a clock
+/// read on each block's first wedge, so a deadline is seen at least once
+/// per block however few wedges a block has) and inside the done-counter
+/// spin of the parallel wavefront (a cancelled run must not
 /// keep spinning on a predecessor that itself stopped).  A fired token
 /// poisons the wavefront counters exactly like a worker exception and
 /// throws Cancelled; exec::run_scheduled_temporal restores the ring slots

@@ -1,5 +1,6 @@
 #include "frontend/spec.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -21,26 +22,44 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-std::int64_t to_int(const std::string& s, int line_no) {
+// Field domains.  Each bound keeps every later computation on the value —
+// padded extents, interior products, time windows, negated offsets — inside
+// the integer types the DSL stores them in.
+constexpr std::int64_t kMaxExtent = std::int64_t{1} << 20;     ///< grid extent, tile factor
+constexpr std::int64_t kMaxHalo = std::int64_t{1} << 10;       ///< halo width, |point offset|
+constexpr std::int64_t kMaxTimeDepth = std::int64_t{1} << 10;  ///< -(term offset)
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 16;      ///< threads, ranks per dim
+
+/// Integer token in [lo, hi]; anything else — malformed, trailing junk,
+/// out of int64, out of the field's domain — is rejected with its line.
+std::int64_t to_int(const std::string& s, int line_no, const char* what, std::int64_t lo,
+                    std::int64_t hi) {
+  std::int64_t v = 0;
   try {
     std::size_t used = 0;
-    const std::int64_t v = std::stoll(s, &used);
+    v = std::stoll(s, &used);
     MSC_CHECK(used == s.size()) << "spec line " << line_no << ": bad integer '" << s << "'";
-    return v;
   } catch (const std::exception&) {
     MSC_FAIL() << "spec line " << line_no << ": bad integer '" << s << "'";
   }
+  MSC_CHECK(v >= lo && v <= hi) << "spec line " << line_no << ": " << what << " " << v
+                                << " is outside [" << lo << ", " << hi << "]";
+  return v;
 }
 
+/// Finite floating-point token (no nan/inf, no overflow).
 double to_double(const std::string& s, int line_no) {
+  double v = 0.0;
   try {
     std::size_t used = 0;
-    const double v = std::stod(s, &used);
+    v = std::stod(s, &used);
     MSC_CHECK(used == s.size()) << "spec line " << line_no << ": bad number '" << s << "'";
-    return v;
   } catch (const std::exception&) {
     MSC_FAIL() << "spec line " << line_no << ": bad number '" << s << "'";
   }
+  MSC_CHECK(std::isfinite(v)) << "spec line " << line_no << ": number '" << s
+                              << "' is not finite";
+  return v;
 }
 
 }  // namespace
@@ -61,10 +80,11 @@ StencilSpec parse_spec(const std::string& text) {
     } else if (key == "grid") {
       MSC_CHECK(argc >= 1 && argc <= 3) << "spec line " << line_no << ": grid takes 1-3 extents";
       spec.grid.clear();
-      for (std::size_t n = 1; n < tok.size(); ++n) spec.grid.push_back(to_int(tok[n], line_no));
+      for (std::size_t n = 1; n < tok.size(); ++n)
+        spec.grid.push_back(to_int(tok[n], line_no, "grid extent", 1, kMaxExtent));
     } else if (key == "halo") {
       MSC_CHECK(argc == 1) << "spec line " << line_no << ": halo takes one value";
-      spec.halo = to_int(tok[1], line_no);
+      spec.halo = to_int(tok[1], line_no, "halo", 0, kMaxHalo);
     } else if (key == "dtype") {
       MSC_CHECK(argc == 1) << "spec line " << line_no << ": dtype takes one value";
       if (tok[1] == "f32") {
@@ -81,28 +101,31 @@ StencilSpec parse_spec(const std::string& text) {
       MSC_CHECK(argc == nd + 1) << "spec line " << line_no << ": point takes " << nd
                                 << " offsets and a coefficient";
       StencilSpec::Point p;
-      for (std::size_t d = 0; d < nd; ++d) p.offset[d] = to_int(tok[1 + d], line_no);
+      for (std::size_t d = 0; d < nd; ++d)
+        p.offset[d] = to_int(tok[1 + d], line_no, "point offset", -kMaxHalo, kMaxHalo);
       p.coeff = to_double(tok[1 + nd], line_no);
       spec.points.push_back(p);
     } else if (key == "term") {
       MSC_CHECK(argc == 2) << "spec line " << line_no << ": term takes offset and weight";
       StencilSpec::Term t;
-      t.offset = static_cast<int>(to_int(tok[1], line_no));
+      t.offset = static_cast<int>(to_int(tok[1], line_no, "term offset", -kMaxTimeDepth, -1));
       t.weight = to_double(tok[2], line_no);
       spec.terms.push_back(t);
     } else if (key == "tile") {
       MSC_CHECK(!spec.grid.empty()) << "spec line " << line_no << ": declare grid before tile";
       MSC_CHECK(argc == spec.grid.size())
           << "spec line " << line_no << ": tile takes one factor per grid dimension";
-      for (std::size_t d = 0; d < argc; ++d) spec.tile[d] = to_int(tok[1 + d], line_no);
+      for (std::size_t d = 0; d < argc; ++d)
+        spec.tile[d] = to_int(tok[1 + d], line_no, "tile factor", 1, kMaxExtent);
     } else if (key == "parallel") {
       MSC_CHECK(argc == 1) << "spec line " << line_no << ": parallel takes a thread count";
-      spec.parallel_threads = static_cast<int>(to_int(tok[1], line_no));
+      spec.parallel_threads =
+          static_cast<int>(to_int(tok[1], line_no, "thread count", 1, kMaxCount));
     } else if (key == "mpi") {
       MSC_CHECK(argc >= 1 && argc <= 3) << "spec line " << line_no << ": mpi takes 1-3 extents";
       spec.mpi.clear();
       for (std::size_t n = 1; n < tok.size(); ++n)
-        spec.mpi.push_back(static_cast<int>(to_int(tok[n], line_no)));
+        spec.mpi.push_back(static_cast<int>(to_int(tok[n], line_no, "mpi extent", 1, kMaxCount)));
     } else {
       MSC_FAIL() << "spec line " << line_no << ": unknown directive '" << key << "'";
     }

@@ -59,9 +59,9 @@ ErrorCode CancelToken::poll() const {
   // latches state_ and is seen by the load above on the very next poll, but
   // deadline expiry needs Clock::now(), which dominates the checkpoint cost
   // in hot loops.  Checking every 64th poll (and always the first, so a
-  // pre-expired token fires immediately) keeps detection latency bounded at
-  // a handful of row chunks while making the common poll two relaxed
-  // atomics.
+  // pre-expired token fires immediately) makes the common poll two relaxed
+  // atomics; detection latency is 64 polls, so the engines add a
+  // poll_now() per step or wedge block to bound it in time.
   constexpr std::int64_t kDeadlineStride = 64;
   if ((n & (kDeadlineStride - 1)) != 0) return ErrorCode::Ok;
   return latch_if_expired();

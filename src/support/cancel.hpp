@@ -11,8 +11,9 @@
 // restored to their pre-run contents before the exception escapes, so a
 // cancelled run is indistinguishable from one that never started.
 //
-// The uncancelled hot path pays one relaxed atomic load (plus a coarse
-// steady_clock read when a deadline is armed) per checkpoint; checkpoints sit
+// The uncancelled hot path pays one relaxed atomic load per checkpoint, plus
+// a steady_clock read on every 64th poll and at each coarse site (a sweep
+// step's first tile, a wedge block's first wedge); checkpoints sit
 // at row-chunk / wedge / pipeline-stage granularity, never inside row loops,
 // and checkpoint creep is pinned by bench_cancellation's history gate
 // (~2% overhead budget, gated at the measurement's noise floor).
@@ -116,9 +117,11 @@ class CancelToken {
 
   /// Cheap cooperative check: latched reason if any, else a deadline test
   /// (latching DeadlineExpired the first time it trips).  Ok means keep
-  /// going.  The deadline's clock read is amortized across polls — a
-  /// latched cancel is seen immediately, deadline expiry within a bounded
-  /// handful of polls.
+  /// going.  A latched cancel is seen on the next poll, but the deadline's
+  /// clock is read only on every 64th poll (the first included), so
+  /// expiry is seen up to 63 polls late — however long each poll's work
+  /// quantum takes.  Sites whose quanta can be long use
+  /// checkpoint(site, first), which reads the clock once per coarse block.
   ErrorCode poll() const;
 
   /// Like poll(), but always performs the deadline clock read.  For coarse
@@ -133,6 +136,17 @@ class CancelToken {
 
   /// checkpoint() on poll_now(): exact deadline detection at coarse sites.
   void checkpoint_now(const char* site) const;
+
+  /// The checkpoint of one unit in a coarse block (a sweep step's tiles, a
+  /// wedge block's wedges): the block's `first` unit reads the deadline
+  /// clock, the rest poll.  A deadline is thus seen within one block,
+  /// however long each unit takes.
+  void checkpoint(const char* site, bool first) const {
+    if (first)
+      checkpoint_now(site);
+    else
+      checkpoint(site);
+  }
 
   /// min(cap_ms, remaining deadline budget); cap_ms <= 0 means "no cap"
   /// (returns the deadline budget alone, +inf when unarmed).  Used by

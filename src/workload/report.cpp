@@ -164,7 +164,10 @@ std::string Json::dump_compact() const {
 namespace {
 
 /// Recursive-descent JSON reader over a string; positions reported in
-/// msc::Error messages are byte offsets.
+/// msc::Error messages are byte offsets.  Nesting is capped at kMaxDepth
+/// containers: the reader recurses once per level, and the files it reads
+/// (fault plans, bench reports, history ledgers) come from outside the
+/// program, so unbounded nesting would let input exhaust the stack.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -202,11 +205,13 @@ class JsonParser {
     return true;
   }
 
+  static constexpr int kMaxDepth = 512;
+
   Json parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested([this] { return parse_object(); });
+      case '[': return nested([this] { return parse_array(); });
       case '"': return Json::string(parse_string());
       case 't':
         MSC_CHECK(consume_literal("true")) << "json: bad literal at offset " << pos_;
@@ -219,6 +224,17 @@ class JsonParser {
         return Json::null();
       default: return parse_number();
     }
+  }
+
+  /// Parses one container a level deeper.  A throw abandons the whole
+  /// parse, so the level needs no unwinding on that path.
+  template <typename Fn>
+  Json nested(Fn&& parse_container) {
+    MSC_CHECK(++depth_ <= kMaxDepth)
+        << "json: nesting deeper than " << kMaxDepth << " levels at offset " << pos_;
+    Json v = parse_container();
+    --depth_;
+    return v;
   }
 
   Json parse_object() {
@@ -346,6 +362,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers currently open
 };
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Plan-exchanger tests (comm/exchange_plan.hpp): direction-list
 // construction pins, persistent-workspace reuse, and the differential
-// bit-identity matrix — the 26-direction plan exchange must reproduce the
-// dimension-sequential exchanger's full padded ring (halos and corners
-// included) bit for bit across periodic/non-periodic decompositions, odd
-// extents, and self/coincident neighbors.  A differential failure engages a
-// greedy shrinker that prints the minimal failing configuration.
+// bit-identity matrix — after a distributed run, every rank's full padded
+// ring (every slot, halos and corners included) must equal bit for bit the
+// matching window of a single-grid run on the global domain (Periodic
+// halos where the decomposition wraps, zero halos otherwise), across
+// periodic/non-periodic decompositions, odd extents, and self/coincident
+// neighbors.  A differential failure engages a greedy shrinker that prints
+// the minimal failing configuration.
 
 #include <gtest/gtest.h>
 
@@ -65,7 +67,7 @@ TEST(ExchangePlan, TagsPairUpWithOppositeDirection) {
   for (const auto& dir : plan.directions()) {
     EXPECT_EQ(dir.send_tag, kPlanTagBase + dir.index);
     EXPECT_EQ(dir.recv_tag, kPlanTagBase + opposite_direction_index(dir.off, plan.ndim()));
-    EXPECT_GE(dir.send_tag, kPlanTagBase);  // disjoint from legacy [0, 2*ndim)
+    EXPECT_GE(dir.send_tag, kPlanTagBase);  // clear of small caller tags
   }
 }
 
@@ -111,10 +113,30 @@ struct DiffCase {
   }
 };
 
-/// Runs the case distributed under `ex` and returns, per rank, the raw
-/// bytes of every padded slot — the whole ring including halos/corners, so
-/// any divergence anywhere is caught, not just the interior.
-std::vector<std::vector<std::byte>> run_padded(const DiffCase& dc, Exchanger ex) {
+double seed_value(std::int64_t t, std::array<std::int64_t, 3> g) {
+  return 0.001 * static_cast<double>((g[0] * 53 + g[1] * 17 + g[2] * 5 + t) % 127);
+}
+
+/// Seeds the initial window slots (times 0, -1, ...) of `g`, whose interior
+/// starts at global coordinate `off`.
+void seed_window(exec::GridStorage<double>& g, const ir::StencilDef& st,
+                 std::array<std::int64_t, 3> off) {
+  for (int back = 0; back < st.time_window() - 1; ++back) {
+    const int slot = g.slot_for_time(-back);
+    g.for_each_interior([&](std::array<std::int64_t, 3> c) {
+      std::array<std::int64_t, 3> gc = c;
+      for (int d = 0; d < g.ndim(); ++d)
+        gc[static_cast<std::size_t>(d)] += off[static_cast<std::size_t>(d)];
+      g.at(slot, c) = seed_value(-back, gc);
+    });
+  }
+}
+
+/// Runs the case distributed and on one global grid, then compares every
+/// rank's whole padded ring — interior, halos and corners of every slot —
+/// with the global grid's window at the rank's offset, so any divergence
+/// anywhere is caught, not just the interior.
+bool distributed_matches_global(const DiffCase& dc) {
   const auto& info = workload::benchmark(dc.bench);
   auto prog = workload::make_program(info, ir::DataType::f64, dc.grid);
   const auto& st = prog->stencil();
@@ -125,11 +147,12 @@ std::vector<std::vector<std::byte>> run_padded(const DiffCase& dc, Exchanger ex)
   CartDecomp dec(dc.proc, global_ext,
                  std::vector<bool>(static_cast<std::size_t>(ndim), dc.periodic));
 
-  auto seed_value = [](std::int64_t t, std::array<std::int64_t, 3> g) {
-    return 0.001 * static_cast<double>((g[0] * 53 + g[1] * 17 + g[2] * 5 + t) % 127);
-  };
+  exec::GridStorage<double> global(st.state());
+  seed_window(global, st, {0, 0, 0});
+  exec::run_reference(st, global, 1, dc.steps,
+                      dc.periodic ? exec::Boundary::Periodic : exec::Boundary::ZeroHalo);
 
-  std::vector<std::vector<std::byte>> padded(static_cast<std::size_t>(dec.size()));
+  std::vector<char> agree(static_cast<std::size_t>(dec.size()), 0);
   SimWorld world(dec.size());
   world.run([&](RankCtx& ctx) {
     const int r = ctx.rank();
@@ -140,37 +163,31 @@ std::vector<std::vector<std::byte>> run_padded(const DiffCase& dc, Exchanger ex)
     exec::GridStorage<double> local(local_tensor);
     std::array<std::int64_t, 3> off{0, 0, 0};
     for (int d = 0; d < ndim; ++d) off[static_cast<std::size_t>(d)] = dec.local_offset(r, d);
-    for (int back = 0; back < st.time_window() - 1; ++back) {
-      const int slot = local.slot_for_time(-back);
-      local.for_each_interior([&](std::array<std::int64_t, 3> c) {
-        std::array<std::int64_t, 3> g = c;
-        for (int d = 0; d < ndim; ++d)
-          g[static_cast<std::size_t>(d)] += off[static_cast<std::size_t>(d)];
-        local.at(slot, c) = seed_value(-back, g);
-      });
+    seed_window(local, st, off);
+    run_distributed(ctx, dec, st, local, 1, dc.steps);
+
+    const std::int64_t h = local.halo();
+    std::array<std::int64_t, 3> lo{0, 0, 0}, hi{1, 1, 1};
+    for (int d = 0; d < ndim; ++d) {
+      lo[static_cast<std::size_t>(d)] = -h;
+      hi[static_cast<std::size_t>(d)] = local.extent(d) + h;
     }
-    run_distributed(ctx, dec, st, local, 1, dc.steps, {}, ex);
-
-    auto& out = padded[static_cast<std::size_t>(r)];
-    const std::size_t slot_bytes =
-        static_cast<std::size_t>(local.padded_points()) * sizeof(double);
-    out.resize(static_cast<std::size_t>(local.slots()) * slot_bytes);
-    for (int s = 0; s < local.slots(); ++s)
-      std::memcpy(out.data() + static_cast<std::size_t>(s) * slot_bytes, local.slot_data(s),
-                  slot_bytes);
+    bool same = true;
+    for (int s = 0; s < local.slots(); ++s) {
+      std::array<std::int64_t, 3> c{};
+      for (c[0] = lo[0]; c[0] < hi[0]; ++c[0])
+        for (c[1] = lo[1]; c[1] < hi[1]; ++c[1])
+          for (c[2] = lo[2]; c[2] < hi[2]; ++c[2]) {
+            const std::array<std::int64_t, 3> gc{c[0] + off[0], c[1] + off[1], c[2] + off[2]};
+            const double a = local.at(s, c);
+            const double b = global.at(s, gc);
+            same &= std::memcmp(&a, &b, sizeof a) == 0;
+          }
+    }
+    agree[static_cast<std::size_t>(r)] = same;
   });
-  return padded;
-}
-
-bool exchangers_agree(const DiffCase& dc) {
-  const auto legacy = run_padded(dc, Exchanger::FaceSequential);
-  const auto plan = run_padded(dc, Exchanger::Plan);
-  if (legacy.size() != plan.size()) return false;
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    if (legacy[r].size() != plan[r].size() ||
-        std::memcmp(legacy[r].data(), plan[r].data(), legacy[r].size()) != 0)
-      return false;
-  }
+  for (char a : agree)
+    if (a == 0) return false;
   return true;
 }
 
@@ -187,7 +204,7 @@ DiffCase shrink_failure(DiffCase dc) {
       // Keep every rank's sub-extent >= halo so the case stays legal.
       const std::int64_t floor_ext = radius * dc.proc[d];
       cand.grid[d] = std::max(floor_ext, dc.grid[d] / 2);
-      if (cand.grid[d] < dc.grid[d] && !exchangers_agree(cand)) {
+      if (cand.grid[d] < dc.grid[d] && !distributed_matches_global(cand)) {
         dc = cand;
         shrunk = true;
       }
@@ -195,7 +212,7 @@ DiffCase shrink_failure(DiffCase dc) {
     if (dc.steps > 1) {
       DiffCase cand = dc;
       cand.steps = dc.steps / 2;
-      if (!exchangers_agree(cand)) {
+      if (!distributed_matches_global(cand)) {
         dc = cand;
         shrunk = true;
       }
@@ -205,46 +222,46 @@ DiffCase shrink_failure(DiffCase dc) {
 }
 
 void expect_bit_identical(const DiffCase& dc) {
-  if (exchangers_agree(dc)) return;
+  if (distributed_matches_global(dc)) return;
   const DiffCase minimal = shrink_failure(dc);
-  ADD_FAILURE() << "plan exchanger diverges from the sequential exchanger\n"
+  ADD_FAILURE() << "distributed run diverges from the single-grid run\n"
                 << "  failing case: " << dc.describe() << "\n"
                 << "  minimal repro: " << minimal.describe();
 }
 
-TEST(ExchangerDifferential, OddExtentsNonPeriodic2d) {
+TEST(DistributedVsGlobal, OddExtentsNonPeriodic2d) {
   expect_bit_identical({"2d9pt_box", {13, 11, 0}, {3, 2}, false, 4});
 }
 
-TEST(ExchangerDifferential, Periodic2dBox) {
+TEST(DistributedVsGlobal, Periodic2dBox) {
   expect_bit_identical({"2d9pt_box", {12, 12, 0}, {2, 2}, true, 4});
 }
 
-TEST(ExchangerDifferential, WideHaloStar2d) {
+TEST(DistributedVsGlobal, WideHaloStar2d) {
   expect_bit_identical({"2d9pt_star", {16, 12, 0}, {2, 2}, false, 3});
 }
 
-TEST(ExchangerDifferential, SelfNeighborOneRankPeriodicDim) {
+TEST(DistributedVsGlobal, SelfNeighborOneRankPeriodicDim) {
   // proc {2,1} periodic: dim 1 wraps onto the same rank — the plan's
-  // self-message path against the legacy same-rank special case.
+  // self-message path.
   expect_bit_identical({"2d9pt_box", {10, 7, 0}, {2, 1}, true, 3});
 }
 
-TEST(ExchangerDifferential, CoincidentNeighborsTwoRankPeriodicDim) {
+TEST(DistributedVsGlobal, CoincidentNeighborsTwoRankPeriodicDim) {
   // 2-rank periodic dims: left and right neighbor coincide, so two
   // distinct messages flow between the same pair on different tags.
   expect_bit_identical({"2d9pt_box", {8, 8, 0}, {2, 2}, true, 3});
 }
 
-TEST(ExchangerDifferential, ThreeDimensionalOddExtents) {
+TEST(DistributedVsGlobal, ThreeDimensionalOddExtents) {
   expect_bit_identical({"3d7pt_star", {10, 7, 9}, {2, 1, 2}, false, 3});
 }
 
-TEST(ExchangerDifferential, ThreeDimensionalPeriodic) {
+TEST(DistributedVsGlobal, ThreeDimensionalPeriodic) {
   expect_bit_identical({"3d7pt_star", {8, 6, 8}, {2, 1, 2}, true, 3});
 }
 
-TEST(ExchangerDifferential, HaloEqualsExtentSlabs) {
+TEST(DistributedVsGlobal, HaloEqualsExtentSlabs) {
   // Radius-2 star over 2-row slabs: the exchanged slab is the whole
   // sub-domain, every cell both sent and received each round.
   expect_bit_identical({"2d9pt_star", {4, 6, 0}, {2, 1}, false, 3});

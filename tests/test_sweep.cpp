@@ -1,8 +1,9 @@
 // Unit + differential tests of the compiled row-sweep engine (exec/sweep):
-// lowering coverage/clamping, bit-exact agreement between the retired
-// per-point interpreter and the compiled sweep across random conformance
-// cases, the wide-stencil (register-blocked) row kernel, and the row-based
-// grid primitives' order guarantees.
+// lowering coverage/clamping, bit-exact agreement between the scheduled
+// sweep and the full-tile reference sweep across random conformance cases
+// (with the f64 numerics of both checked against the independent per-point
+// evaluator), the wide-stencil (register-blocked) row kernel, and the
+// row-based grid primitives' order guarantees.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "check/case_gen.hpp"
@@ -24,6 +26,8 @@
 #include "exec/temporal_sweep.hpp"
 #include "support/rng.hpp"
 #include "workload/stencils.hpp"
+
+#include "pointwise.hpp"
 
 namespace msc::exec {
 namespace {
@@ -89,31 +93,34 @@ TEST(LowerSweep, ThreadsBeyondTripStillCoverEverything) {
   EXPECT_EQ(points, 3 * 5);
 }
 
-// ---- interpreted vs compiled, bit for bit --------------------------------
+// ---- scheduled vs reference, bit for bit ---------------------------------
 
-// Runs both executors from the same seeded state and requires bit-identical
-// interiors at the final step.
+// Runs the scheduled sweep (the schedule's tiles, remainders, parallel
+// chunks) and the reference sweep (one full-interior tile) from the same
+// seeded state and requires bit-identical interiors at the final step; f64
+// cases also check the shared numerics against run_pointwise.
 template <typename T>
 void expect_paths_bit_identical(const ir::StencilDef& st, const schedule::Schedule& sched,
                                 std::int64_t steps, std::uint64_t seed) {
-  GridStorage<T> gi(st.state());
-  GridStorage<T> gc(st.state());
-  for (int s = 0; s < gi.slots(); ++s) {
-    gi.fill_random(s, seed + static_cast<std::uint64_t>(s));
-    gc.fill_random(s, seed + static_cast<std::uint64_t>(s));
-  }
-  run_scheduled_interpreted(st, sched, gi, 1, steps, Boundary::ZeroHalo);
+  GridStorage<T> gr(st.state());
+  for (int s = 0; s < gr.slots(); ++s) gr.fill_random(s, seed + static_cast<std::uint64_t>(s));
+  const GridStorage<T> seeded(gr);
+  GridStorage<T> gc(gr);
+  run_reference(st, gr, 1, steps, Boundary::ZeroHalo);
   run_scheduled(st, sched, gc, 1, steps, Boundary::ZeroHalo);
-  const int fs = gi.slot_for_time(steps);
-  const auto vi = gi.interior_values(fs);
+  const int fs = gr.slot_for_time(steps);
+  const auto vr = gr.interior_values(fs);
   const auto vc = gc.interior_values(fs);
-  ASSERT_EQ(vi.size(), vc.size());
-  for (std::size_t p = 0; p < vi.size(); ++p) {
-    ASSERT_EQ(vi[p], vc[p]) << "first divergence at flat index " << p;
+  ASSERT_EQ(vr.size(), vc.size());
+  for (std::size_t p = 0; p < vr.size(); ++p) {
+    ASSERT_EQ(vr[p], vc[p]) << "first divergence at flat index " << p;
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    EXPECT_TRUE(matches_pointwise(st, seeded, gr, steps));
   }
 }
 
-TEST(SweepVsInterpreter, RandomConformanceCasesBitIdentical) {
+TEST(SweepVsReference, RandomConformanceCasesBitIdentical) {
   int ran = 0;
   for (std::uint64_t seed = 1; seed <= 40 && ran < 12; ++seed) {
     const auto spec = check::random_case(seed);
@@ -127,7 +134,7 @@ TEST(SweepVsInterpreter, RandomConformanceCasesBitIdentical) {
   EXPECT_GE(ran, 8) << "case generator stopped producing affine cases";
 }
 
-TEST(SweepVsInterpreter, RemainderTilesBitIdentical) {
+TEST(SweepVsReference, RemainderTilesBitIdentical) {
   // Extents deliberately not divisible by the tile in any dimension.
   auto prog = std::make_unique<dsl::Program>("rem");
   auto kvar = prog->var("k"), j = prog->var("j"), i = prog->var("i");
@@ -142,7 +149,7 @@ TEST(SweepVsInterpreter, RemainderTilesBitIdentical) {
   expect_paths_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 3, 11);
 }
 
-TEST(SweepVsInterpreter, ParallelThreadsBeyondTripBitIdentical) {
+TEST(SweepVsReference, ParallelThreadsBeyondTripBitIdentical) {
   auto prog = std::make_unique<dsl::Program>("overpar2");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 1, 1, ir::DataType::f64, 3, 64);
@@ -153,7 +160,7 @@ TEST(SweepVsInterpreter, ParallelThreadsBeyondTripBitIdentical) {
   expect_paths_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 4, 3);
 }
 
-TEST(SweepVsInterpreter, DeepTimeWindowBitIdentical) {
+TEST(SweepVsReference, DeepTimeWindowBitIdentical) {
   auto prog = std::make_unique<dsl::Program>("deep");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 3, 1, ir::DataType::f64, 12, 12);
@@ -166,7 +173,7 @@ TEST(SweepVsInterpreter, DeepTimeWindowBitIdentical) {
   expect_paths_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 5, 21);
 }
 
-TEST(SweepVsInterpreter, Fp32BitIdentical) {
+TEST(SweepVsReference, Fp32BitIdentical) {
   auto prog = std::make_unique<dsl::Program>("f32sweep");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 2, 1, ir::DataType::f32, 18, 14);
@@ -287,9 +294,9 @@ TEST(SweepRow, WideTermCountsMatchPointLoopBitwise) {
 
 // 2d121pt_box (242 terms) on an odd 37x53 extent, so every 53-point row
 // runs a full block, single-vector steps and a scalar tail: the parallel
-// sweep and the wedge engine must both reproduce the per-point interpreter
-// bit for bit.
-TEST(SweepVsInterpreter, BigBoxOddExtentBitIdentical) {
+// sweep and the wedge engine must both reproduce the reference sweep bit
+// for bit, and its numerics must match the per-point evaluator.
+TEST(SweepVsReference, BigBoxOddExtentBitIdentical) {
   auto prog = workload::make_program(workload::benchmark("2d121pt_box"), ir::DataType::f64,
                                      {37, 53, 0});
   prog->primary_kernel().parallel("j", 4);
@@ -298,10 +305,11 @@ TEST(SweepVsInterpreter, BigBoxOddExtentBitIdentical) {
   ASSERT_STREQ(sweep_route(linearize_stencil(st, prog->bindings())->terms.size()), "blocked");
 
   const std::int64_t steps = 3;
-  GridStorage<double> gi(st.state());
-  for (int s = 0; s < gi.slots(); ++s) gi.fill_random(s, 77 + static_cast<std::uint64_t>(s));
-  GridStorage<double> gs(gi), gt(gi);
-  run_scheduled_interpreted(st, sched, gi, 1, steps, Boundary::ZeroHalo, prog->bindings());
+  GridStorage<double> gr(st.state());
+  for (int s = 0; s < gr.slots(); ++s) gr.fill_random(s, 77 + static_cast<std::uint64_t>(s));
+  const GridStorage<double> seeded(gr);
+  GridStorage<double> gs(gr), gt(gr);
+  run_reference(st, gr, 1, steps, Boundary::ZeroHalo, prog->bindings());
   run_scheduled(st, sched, gs, 1, steps, Boundary::ZeroHalo, prog->bindings());
   TemporalOptions opts;
   opts.wedge_depth = 2;
@@ -309,10 +317,11 @@ TEST(SweepVsInterpreter, BigBoxOddExtentBitIdentical) {
   run_scheduled_temporal(st, sched, gt, 1, steps, Boundary::ZeroHalo, prog->bindings(), nullptr,
                          &info, opts);
   ASSERT_TRUE(info.temporal) << info.fallback_reason;
-  for (int s = 0; s < gi.slots(); ++s) {
-    EXPECT_TRUE(same_bits(gi.interior_values(s), gs.interior_values(s))) << "sweep slot " << s;
-    EXPECT_TRUE(same_bits(gi.interior_values(s), gt.interior_values(s))) << "wedge slot " << s;
+  for (int s = 0; s < gr.slots(); ++s) {
+    EXPECT_TRUE(same_bits(gr.interior_values(s), gs.interior_values(s))) << "sweep slot " << s;
+    EXPECT_TRUE(same_bits(gr.interior_values(s), gt.interior_values(s))) << "wedge slot " << s;
   }
+  EXPECT_TRUE(matches_pointwise(st, seeded, gr, steps, Boundary::ZeroHalo, prog->bindings()));
 }
 
 // ---- non-affine fallback -------------------------------------------------

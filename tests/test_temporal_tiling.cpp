@@ -1,8 +1,9 @@
 // Differential battery for the time-skewed temporal engine
 // (exec/temporal_sweep): wedge lowering must cover every (step, point)
 // exactly once with every clamp resolved at lowering time, and
-// run_scheduled_temporal must be bit-identical to the per-point
-// interpreter for every dtype, time depth and wedge shape — including odd
+// run_scheduled_temporal must be bit-identical to the per-step engine
+// (run_scheduled) for every dtype, time depth and wedge shape, with the f64
+// numerics checked against the per-point evaluator — including odd
 // extents that force remainder wedges, skews clamped at the grid
 // boundary, wedge depths past the stencil's time window, single-row
 // grids, and over-subscribed parallel plans.  Randomized cases shrink to
@@ -12,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "check/case_gen.hpp"
@@ -21,6 +23,8 @@
 #include "exec/grid.hpp"
 #include "exec/temporal_sweep.hpp"
 #include "support/thread_pool.hpp"
+
+#include "pointwise.hpp"
 
 namespace msc::exec {
 namespace {
@@ -33,41 +37,41 @@ ThreadPool& test_pool() {
   return pool;
 }
 
-// Runs the interpreter and the temporal engine from identically seeded
+// Runs the per-step engine and the temporal engine from identically seeded
 // grids and compares every ring slot's interior bit for bit, so the whole
-// retained window — not just the final step — must agree.
+// retained window — not just the final step — must agree; f64 runs also
+// check the final step against run_pointwise.
 template <typename T>
 ::testing::AssertionResult temporal_bit_identical(const ir::StencilDef& st,
                                                   const schedule::Schedule& sched,
                                                   std::int64_t steps, std::uint64_t seed,
                                                   TemporalOptions topts = {}) {
-  GridStorage<T> gi(st.state());
-  GridStorage<T> gt(st.state());
-  for (int s = 0; s < gi.slots(); ++s) {
-    gi.fill_random(s, seed + static_cast<std::uint64_t>(s));
-    gt.fill_random(s, seed + static_cast<std::uint64_t>(s));
-  }
-  run_scheduled_interpreted(st, sched, gi, 1, steps, Boundary::ZeroHalo);
+  GridStorage<T> gs(st.state());
+  for (int s = 0; s < gs.slots(); ++s) gs.fill_random(s, seed + static_cast<std::uint64_t>(s));
+  const GridStorage<T> seeded(gs);
+  GridStorage<T> gt(gs);
+  run_scheduled(st, sched, gs, 1, steps, Boundary::ZeroHalo);
   TemporalExecInfo info;
   run_scheduled_temporal(st, sched, gt, 1, steps, Boundary::ZeroHalo, {}, nullptr, &info,
                          topts);
   if (!info.temporal)
     return ::testing::AssertionFailure()
            << "unexpected fallback: " << info.fallback_reason;
-  for (int s = 0; s < gi.slots(); ++s) {
-    const auto vi = gi.interior_values(s);
+  for (int s = 0; s < gs.slots(); ++s) {
+    const auto vs = gs.interior_values(s);
     const auto vt = gt.interior_values(s);
-    if (vi.size() != vt.size())
+    if (vs.size() != vt.size())
       return ::testing::AssertionFailure() << "slot " << s << " size mismatch";
-    for (std::size_t p = 0; p < vi.size(); ++p) {
-      if (vi[p] != vt[p])
+    for (std::size_t p = 0; p < vs.size(); ++p) {
+      if (vs[p] != vt[p])
         return ::testing::AssertionFailure()
-               << "slot " << s << " diverges at flat index " << p << ": interpreted "
-               << vi[p] << " vs temporal " << vt[p] << " (wedge_depth="
+               << "slot " << s << " diverges at flat index " << p << ": per-step "
+               << vs[p] << " vs temporal " << vt[p] << " (wedge_depth="
                << info.wedge_depth << " width=" << info.wedge_width << " blocks="
                << info.blocks << " dep_span=" << info.dep_span << ")";
     }
   }
+  if constexpr (std::is_same_v<T, double>) return matches_pointwise(st, seeded, gt, steps);
   return ::testing::AssertionSuccess();
 }
 
@@ -223,7 +227,7 @@ TEST(LowerTemporal, ScheduleTimeTileFeedsDefaults) {
 
 // ---- differential battery ------------------------------------------------
 
-TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery2D) {
+TEST(TemporalVsPerStep, TimeDepthByWedgeDepthBattery2D) {
   auto prog = odd_2d_program();
   for (std::int64_t steps : {1, 2, 3, 7, 16}) {
     for (std::int64_t depth : {1, 2, 3, 4}) {
@@ -237,7 +241,7 @@ TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery2D) {
   }
 }
 
-TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery3D) {
+TEST(TemporalVsPerStep, TimeDepthByWedgeDepthBattery3D) {
   for (auto dtype : {ir::DataType::f64, ir::DataType::f32}) {
     auto prog = odd_3d_program(dtype);
     for (std::int64_t steps : {1, 3, 7, 16}) {
@@ -260,7 +264,7 @@ TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery3D) {
   }
 }
 
-TEST(TemporalVsInterpreter, WedgeDepthBeyondTimeWindowBitIdentical) {
+TEST(TemporalVsPerStep, WedgeDepthBeyondTimeWindowBitIdentical) {
   // Depth 4 against a 2-deep window: in-place slot rotation overwrites a
   // step's inputs within the same wedge pass; the skew proof says that is
   // safe, and this pins it.
@@ -272,9 +276,9 @@ TEST(TemporalVsInterpreter, WedgeDepthBeyondTimeWindowBitIdentical) {
                                              41, opts));
 }
 
-TEST(TemporalVsInterpreter, ParallelWavefrontBitIdentical) {
+TEST(TemporalVsPerStep, ParallelWavefrontBitIdentical) {
   // Parallel schedule + injected 4-worker pool: the chunk-level DAG with
-  // spin-wait counters must agree with the serial interpreter bitwise.
+  // spin-wait counters must agree with the per-step engine bitwise.
   auto prog = std::make_unique<dsl::Program>("ttpar");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 2, 1, ir::DataType::f64, 33, 21);
@@ -297,7 +301,7 @@ TEST(TemporalVsInterpreter, ParallelWavefrontBitIdentical) {
   }
 }
 
-TEST(TemporalVsInterpreter, OversubscribedParallelPlanBitIdentical) {
+TEST(TemporalVsPerStep, OversubscribedParallelPlanBitIdentical) {
   // 16 requested threads over a 4-worker pool and only a handful of
   // wedges: chunk count must clamp and the wavefront must still drain.
   auto prog = std::make_unique<dsl::Program>("ttover");
@@ -316,18 +320,17 @@ TEST(TemporalVsInterpreter, OversubscribedParallelPlanBitIdentical) {
                                              87, opts));
 }
 
-TEST(TemporalVsInterpreter, NonZeroHaloFallsBackReported) {
+TEST(TemporalVsPerStep, NonZeroHaloFallsBackReported) {
   // Periodic boundaries need a fresh halo every step; the temporal engine
-  // must refuse — loudly — and produce per-step-engine results.
+  // must refuse — loudly — and produce per-step-engine results, which the
+  // independent evaluator checks under the same Periodic boundary.
   auto prog = odd_2d_program();
   const auto& st = prog->stencil();
-  GridStorage<double> gi(st.state());
-  GridStorage<double> gt(st.state());
-  for (int s = 0; s < gi.slots(); ++s) {
-    gi.fill_random(s, 11 + static_cast<std::uint64_t>(s));
-    gt.fill_random(s, 11 + static_cast<std::uint64_t>(s));
-  }
-  run_scheduled_interpreted(st, prog->primary_schedule(), gi, 1, 5, Boundary::Periodic);
+  GridStorage<double> gs(st.state());
+  for (int s = 0; s < gs.slots(); ++s) gs.fill_random(s, 11 + static_cast<std::uint64_t>(s));
+  const GridStorage<double> seeded(gs);
+  GridStorage<double> gt(gs);
+  run_scheduled(st, prog->primary_schedule(), gs, 1, 5, Boundary::Periodic);
   TemporalExecInfo info;
   TemporalOptions opts;
   opts.wedge_depth = 3;
@@ -336,11 +339,12 @@ TEST(TemporalVsInterpreter, NonZeroHaloFallsBackReported) {
   EXPECT_FALSE(info.temporal);
   EXPECT_NE(info.fallback_reason.find("per-step halo"), std::string::npos)
       << info.fallback_reason;
-  const int fs = gi.slot_for_time(5);
-  EXPECT_EQ(gi.interior_values(fs), gt.interior_values(fs));
+  const int fs = gs.slot_for_time(5);
+  EXPECT_EQ(gs.interior_values(fs), gt.interior_values(fs));
+  EXPECT_TRUE(matches_pointwise(st, seeded, gt, 5, Boundary::Periodic));
 }
 
-TEST(TemporalVsInterpreter, RandomCasesShrinkOnFailure) {
+TEST(TemporalVsPerStep, RandomCasesShrinkOnFailure) {
   const auto run_case = [](const check::CaseSpec& spec) -> ::testing::AssertionResult {
     auto prog = check::build_program(spec);
     if (!linearize_stencil(prog->stencil(), prog->bindings()).has_value())

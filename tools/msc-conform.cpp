@@ -2,9 +2,10 @@
 //
 // Draws random stencil programs (2-D/3-D, random radii, time windows,
 // coefficients and schedules), runs each one through every lowering of the
-// compiler (reference interpreter, scheduled executor, generated C/OpenMP,
-// the athread host-sim pair, the Sunway core-group simulator and a
-// simulated-MPI decomposed run), and compares the final grids element-wise.
+// compiler (scheduled executor, generated C/OpenMP, the athread host-sim
+// pair, the Sunway core-group simulator, a simulated-MPI decomposed run and
+// the AOT backend), and compares each final grid element-wise against the
+// per-point IR evaluator, the independent reference.
 // Failures are shrunk to minimal reproducers replayable by seed.  Also owns
 // the codegen golden snapshots under tests/golden/.
 //
