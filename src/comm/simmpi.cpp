@@ -63,7 +63,7 @@ Request RankCtx::isend(int dst, int tag, const void* data, std::int64_t bytes) {
     msg.payload.resize(static_cast<std::size_t>(bytes));
     if (bytes > 0) std::memcpy(msg.payload.data(), data, static_cast<std::size_t>(bytes));
     if (resilient) {
-      msg.checksum = resilience::fnv1a(msg.payload.data(), msg.payload.size());
+      msg.checksum = resilience::checksum64(msg.payload.data(), msg.payload.size());
       // Clean copy for retransmission, before any injected corruption.
       box.sent[{tag, seq}] = msg;
       // Evict stale entries of this tag (lockstep exchanges never have more
@@ -167,7 +167,7 @@ void RankCtx::wait(Request& req) {
 
     if (match >= 0) {
       const auto& m = box.messages[static_cast<std::size_t>(match)];
-      if (resilient && m.checksum != resilience::fnv1a(m.payload.data(), m.payload.size())) {
+      if (resilient && m.checksum != resilience::checksum64(m.payload.data(), m.payload.size())) {
         // Corrupted in flight: discard and re-request the clean copy.
         prof::counter("resilience.corrupt_detected").add(1);
         prof::LogEvent(prof::LogLevel::Warn, "resilience.wait", "corrupt halo discarded")

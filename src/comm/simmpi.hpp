@@ -12,13 +12,15 @@
 // model (network_model.hpp) instead of spawning thousands of threads.
 //
 // Fault tolerance (see src/resilience/): every message carries a sequence
-// number and an FNV-1a payload checksum; senders keep a bounded retransmit
-// buffer.  A blocked wait() with a timeout configured (MSC_COMM_TIMEOUT_MS
-// or SimWorld::set_comm_config) walks the retry -> resync -> abort
-// escalation ladder instead of deadlocking: duplicates are discarded by
-// watermark, corruption is detected by checksum and re-requested, and
-// dropped messages are recovered from the retransmit buffer with
-// exponential backoff + deterministic jitter.  A FaultInjector (chaos
+// number and a resilience::checksum64 payload checksum (it detects any
+// change confined to one 8-byte word, so every single-bit or single-byte
+// flip); senders keep a bounded retransmit buffer.  A blocked wait() with
+// a timeout configured (MSC_COMM_TIMEOUT_MS or SimWorld::set_comm_config)
+// walks the retry -> resync -> abort escalation ladder instead of
+// deadlocking: duplicates are discarded by watermark, corruption is
+// detected by checksum and re-requested, and dropped messages are
+// recovered from the retransmit buffer with exponential backoff +
+// deterministic jitter.  A FaultInjector (chaos
 // plans) perturbs traffic at the send side; crashed ranks are declared
 // failed and every survivor blocked on them raises RankFailed rather than
 // wedging.  All of this is off (and costs nothing) in fault-free runs:
@@ -198,7 +200,7 @@ class SimWorld {
   struct Message {
     int tag = 0;
     std::uint64_t seq = 0;       ///< per (src,dst,tag) stream position
-    std::uint64_t checksum = 0;  ///< FNV-1a of the payload (resilient mode)
+    std::uint64_t checksum = 0;  ///< checksum64 of the payload (resilient mode)
     Clock::time_point deliver_at{};  ///< injected delay; default = immediately
     std::vector<std::byte> payload;
   };

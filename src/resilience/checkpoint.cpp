@@ -1,6 +1,8 @@
 #include "resilience/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "prof/counters.hpp"
@@ -8,14 +10,49 @@
 
 namespace msc::resilience {
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t n = 0; n < bytes; ++n) {
-    h ^= p[n];
-    h *= 0x100000001b3ULL;
-  }
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// One FNV-1a step: a bijection of `h` for fixed `v`, injective in `v`.
+constexpr std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) { return (h ^ v) * kFnvPrime; }
+
+/// MurmurHash3's fmix64 finalizer: a bijection that lets every input bit
+/// reach every output bit (a plain FNV chain only carries differences
+/// upwards, so two top-bit flips in chained slots could cancel).
+constexpr std::uint64_t fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
+}
+
+}  // namespace
+
+std::uint64_t checksum64(const void* data, std::size_t bytes, std::uint64_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const std::size_t words = bytes / 8;
+  const auto word = [p](std::size_t i) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + 8 * i, sizeof w);
+    return w;
+  };
+  std::uint64_t lane[4] = {seed, seed ^ 0x9e3779b97f4a7c15ULL, seed ^ 0x3c6ef372fe94f82aULL,
+                           seed ^ 0xdaa66d2c7ddf743fULL};
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    lane[0] = fnv_step(lane[0], word(i));
+    lane[1] = fnv_step(lane[1], word(i + 1));
+    lane[2] = fnv_step(lane[2], word(i + 2));
+    lane[3] = fnv_step(lane[3], word(i + 3));
+  }
+  for (; i < words; ++i) lane[i % 4] = fnv_step(lane[i % 4], word(i));
+  std::uint64_t h = seed;
+  for (const std::uint64_t l : lane) h = fnv_step(h, l);
+  for (std::size_t b = 8 * words; b < bytes; ++b) h = fnv_step(h, p[b]);
+  return fmix64(fnv_step(h, bytes));
 }
 
 std::int64_t Checkpoint::total_bytes() const {
@@ -25,8 +62,10 @@ std::int64_t Checkpoint::total_bytes() const {
 }
 
 std::uint64_t Checkpoint::compute_checksum() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& s : slots) h = fnv1a(s.data(), s.size(), h);
+  // Chained: each slot's length is folded in, so swapping slots or moving
+  // bytes across a slot boundary changes the result.
+  std::uint64_t h = kChecksumSeed;
+  for (const auto& s : slots) h = checksum64(s.data(), s.size(), h);
   return h;
 }
 
@@ -100,7 +139,10 @@ std::int64_t CheckpointStore::bytes_written() const {
 }
 
 namespace {
-constexpr char kMagic[8] = {'M', 'S', 'C', 'C', 'K', 'P', 'T', '1'};
+// v2: payload checksum is checksum64.  v1 files (byte-serial FNV-1a) carry
+// checksums this build cannot verify, so they are rejected by name.
+constexpr char kMagic[8] = {'M', 'S', 'C', 'C', 'K', 'P', 'T', '2'};
+constexpr char kMagicV1[8] = {'M', 'S', 'C', 'C', 'K', 'P', 'T', '1'};
 }
 
 void write_checkpoint_file(const std::string& path, const Checkpoint& ck) {
@@ -126,8 +168,11 @@ Checkpoint read_checkpoint_file(const std::string& path) {
   MSC_CHECK(in.good()) << "cannot read checkpoint '" << path << "'";
   char magic[8];
   in.read(magic, sizeof magic);
-  MSC_CHECK(in.good() && std::equal(magic, magic + 8, kMagic))
-      << "'" << path << "' is not an MSC checkpoint";
+  MSC_CHECK(in.good()) << "'" << path << "' is not an MSC checkpoint";
+  MSC_CHECK(!std::equal(magic, magic + 8, kMagicV1))
+      << "'" << path << "' is a v1 MSC checkpoint (MSCCKPT1, FNV-1a checksum); this build "
+      << "reads v2 (MSCCKPT2) only";
+  MSC_CHECK(std::equal(magic, magic + 8, kMagic)) << "'" << path << "' is not an MSC checkpoint";
   const auto get_i64 = [&in, &path]() {
     std::int64_t v = 0;
     in.read(reinterpret_cast<char*>(&v), sizeof v);

@@ -10,7 +10,8 @@
 //     images of every sliding-window slot *including halos* (taken right
 //     after the step's halo exchange, so a snapshot set at step s is a
 //     globally consistent cut: every rank holds exactly the post-exchange
-//     state of s);
+//     state of s), each sealed with a checksum64 that detects any change
+//     confined to one 8-byte word and is verified on save and on restore;
 //   * restart: a fresh world over the same store agrees on the newest
 //     consistent cut (between two barriers, so in-flight snapshots cannot
 //     skew the vote), restores every rank's slots bit-exactly, and replays
@@ -50,17 +51,23 @@ Checkpoint snapshot_grid(int rank, std::int64_t step, const exec::GridStorage<T>
   return ck;
 }
 
+/// Writes `ck` back into `grid` bit-exactly.  The slot count, every slot
+/// size and the checksum are verified before any byte of the grid is
+/// written, so a corrupt image throws and leaves `grid` untouched.
 template <typename T>
 void restore_grid(const Checkpoint& ck, exec::GridStorage<T>& grid) {
   MSC_CHECK(static_cast<int>(ck.slots.size()) == grid.slots())
       << "checkpoint has " << ck.slots.size() << " slots, grid has " << grid.slots();
   const std::size_t bytes = static_cast<std::size_t>(grid.padded_points()) * sizeof(T);
-  for (int s = 0; s < grid.slots(); ++s) {
-    MSC_CHECK(ck.slots[static_cast<std::size_t>(s)].size() == bytes)
-        << "checkpoint slot " << s << " is " << ck.slots[static_cast<std::size_t>(s)].size()
-        << " B, grid slot is " << bytes << " B";
+  for (std::size_t s = 0; s < ck.slots.size(); ++s)
+    MSC_CHECK(ck.slots[s].size() == bytes)
+        << "checkpoint slot " << s << " is " << ck.slots[s].size() << " B, grid slot is "
+        << bytes << " B";
+  MSC_CHECK(ck.checksum == ck.compute_checksum())
+      << "checkpoint image for rank " << ck.rank << " step " << ck.step
+      << " fails its checksum; refusing to restore it";
+  for (int s = 0; s < grid.slots(); ++s)
     std::memcpy(grid.slot_data(s), ck.slots[static_cast<std::size_t>(s)].data(), bytes);
-  }
 }
 
 struct CkptRunStats {

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "comm/simmpi.hpp"
 #include "exec/grid.hpp"
@@ -228,6 +230,34 @@ TEST(SimMpiResilience, CorruptionIsDetectedAndRecovered) {
   EXPECT_GE(prof::counter("resilience.corrupt_detected").value(), detected_before + 1);
 }
 
+TEST(SimMpiResilience, CorruptTailBitIsDetectedAndRecovered) {
+  // 37 B = four whole words + 5 tail bytes, and the flip hits the very last
+  // bit: the tail-byte path of checksum64 must catch it on the wire.
+  constexpr std::size_t kBytes = 37;
+  FaultPlan plan = make_message_fault_plan(FaultKind::Corrupt, 1, 1);
+  plan.rules[0].bit = static_cast<int>(8 * kBytes - 1);
+  FaultInjector injector(plan);
+  const std::int64_t detected_before = prof::counter("resilience.corrupt_detected").value();
+  comm::SimWorld world(2);
+  world.set_fault_injector(&injector);
+  world.set_comm_config(quick_config(5.0));
+  world.run([](comm::RankCtx& ctx) {
+    std::array<unsigned char, kBytes> sent{};
+    for (std::size_t i = 0; i < kBytes; ++i) sent[i] = static_cast<unsigned char>(3 * i + 1);
+    if (ctx.rank() == 0) {
+      auto s = ctx.isend(1, 0, sent.data(), kBytes);
+      ctx.wait(s);
+    } else {
+      std::array<unsigned char, kBytes> got{};
+      auto r = ctx.irecv(0, 0, got.data(), kBytes);
+      ctx.wait(r);
+      EXPECT_EQ(got, sent);  // the retransmitted clean copy, not the flipped one
+    }
+  });
+  EXPECT_EQ(injector.injected(FaultKind::Corrupt), 1);
+  EXPECT_GE(prof::counter("resilience.corrupt_detected").value(), detected_before + 1);
+}
+
 TEST(SimMpiResilience, DuplicatesAreDiscardedInOrder) {
   FaultInjector injector(make_message_fault_plan(FaultKind::Duplicate, 1, 2));
   comm::SimWorld world(2);
@@ -359,11 +389,101 @@ TEST(Checkpoint, StoreRoundTripAndConsistentCut) {
   EXPECT_EQ(store.consistent_step(2), -1);
 }
 
+// Two slots whose sizes are not multiples of the 32 B lane block, so every
+// path of checksum64 (lane blocks, leftover words, tail bytes) is covered.
+Checkpoint ragged_checkpoint() {
+  Checkpoint ck;
+  ck.rank = 1;
+  ck.step = 5;
+  for (const std::size_t bytes : {std::size_t{37}, std::size_t{69}}) {
+    std::vector<std::byte> slot(bytes);
+    for (std::size_t i = 0; i < bytes; ++i) slot[i] = static_cast<std::byte>(7 * i + bytes);
+    ck.slots.push_back(std::move(slot));
+  }
+  ck.checksum = ck.compute_checksum();
+  return ck;
+}
+
 TEST(Checkpoint, CorruptImageIsRejected) {
-  auto ck = tiny_checkpoint(0, 1, std::byte{0x7f});
-  ck.slots[0][3] ^= std::byte{0x01};  // bit rot after the checksum was taken
+  // Bit rot after the checksum was taken: every single-bit flip of a ragged
+  // two-slot image must be refused by the store.
+  const Checkpoint clean = ragged_checkpoint();
   CheckpointStore store;
-  EXPECT_THROW(store.save(ck), Error);
+  store.save(clean);
+  int flips = 0;
+  for (std::size_t s = 0; s < clean.slots.size(); ++s) {
+    for (std::size_t bit = 0; bit < 8 * clean.slots[s].size(); ++bit) {
+      Checkpoint ck = clean;
+      ck.slots[s][bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      EXPECT_THROW(store.save(ck), Error) << "slot " << s << " bit " << bit;
+      ++flips;
+    }
+  }
+  EXPECT_EQ(flips, 8 * (37 + 69));
+  EXPECT_EQ(store.checkpoints_written(), 1);  // only the clean image landed
+}
+
+TEST(Checkpoint, ChecksumIsPinned) {
+  // checksum64 is part of the MSCCKPT2 file format: a silent change to the
+  // algorithm would orphan every checkpoint on disk.  107 B = three lane
+  // blocks, one leftover word and 3 tail bytes.  Little-endian values.
+  std::vector<unsigned char> data(107);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<unsigned char>(i * 37 + 11);
+  EXPECT_EQ(checksum64(data.data(), data.size()), 0xc37296a172851c0cULL);
+  EXPECT_EQ(checksum64(nullptr, 0), 0xdca59a7204a40b5bULL);
+  EXPECT_EQ(ragged_checkpoint().checksum, 0xcb68280f5e72ba4cULL);
+}
+
+TEST(Checkpoint, SlotOrderAndBoundaryAreCovered) {
+  const Checkpoint clean = ragged_checkpoint();
+
+  Checkpoint swapped = clean;
+  std::swap(swapped.slots[0], swapped.slots[1]);
+  EXPECT_NE(swapped.compute_checksum(), clean.checksum);
+
+  // Same byte stream, one byte moved from the end of slot 0 to slot 1.
+  Checkpoint moved = clean;
+  moved.slots[1].insert(moved.slots[1].begin(), moved.slots[0].back());
+  moved.slots[0].pop_back();
+  EXPECT_NE(moved.compute_checksum(), clean.checksum);
+
+  // Top-bit flips in both slots: in a bare FNV chain the first slot's
+  // difference would stay in bit 63 and cancel against the second.
+  Checkpoint twice = clean;
+  twice.slots[0][7] ^= std::byte{0x80};
+  twice.slots[1][7] ^= std::byte{0x80};
+  EXPECT_NE(twice.compute_checksum(), clean.checksum);
+}
+
+TEST(Checkpoint, RestoreRejectsCorruptImageAndLeavesGridUntouched) {
+  auto tensor = ir::make_sp_tensor("u", ir::DataType::f64, {6, 5}, 1, 2);
+  exec::GridStorage<double> grid(tensor);
+  grid.fill_random(0, 42);
+  grid.fill_random(1, 43);
+  Checkpoint ck = snapshot_grid(0, 3, grid);
+  ck.slots[1][ck.slots[1].size() - 1] ^= std::byte{0x10};  // bit rot in the store
+
+  exec::GridStorage<double> target(tensor);
+  target.fill_random(0, 77);
+  target.fill_random(1, 78);
+  const std::size_t bytes = static_cast<std::size_t>(target.padded_points()) * sizeof(double);
+  std::vector<std::vector<std::byte>> before;
+  for (int s = 0; s < target.slots(); ++s) {
+    const auto* p = reinterpret_cast<const std::byte*>(target.slot_data(s));
+    before.emplace_back(p, p + bytes);
+  }
+  EXPECT_THROW(restore_grid(ck, target), Error);
+  for (int s = 0; s < target.slots(); ++s)
+    EXPECT_EQ(std::memcmp(target.slot_data(s), before[static_cast<std::size_t>(s)].data(), bytes),
+              0)
+        << "slot " << s << " was written by a rejected restore";
+
+  // A wrong-sized last slot is refused the same way, before slot 0 is written.
+  Checkpoint short_slot = snapshot_grid(0, 3, grid);
+  short_slot.slots[1].pop_back();
+  short_slot.checksum = short_slot.compute_checksum();
+  EXPECT_THROW(restore_grid(short_slot, target), Error);
+  EXPECT_EQ(std::memcmp(target.slot_data(0), before[0].data(), bytes), 0);
 }
 
 TEST(Checkpoint, GridSnapshotRestoreIsBitExact) {
@@ -404,6 +524,31 @@ TEST(Checkpoint, FileRoundTrip) {
   fs::resize_file(path, 10);
   EXPECT_THROW(read_checkpoint_file(path), Error);
   EXPECT_THROW(read_checkpoint_file((dir / "absent.ckpt").string()), Error);
+
+  const auto xor_byte = [&path](std::streamoff at, char mask) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    char c = 0;
+    f.seekg(at);
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ mask);
+    f.seekp(at);
+    f.write(&c, 1);
+  };
+  // Header: 8 B magic, rank, step, slot count, checksum; then slot 0's size
+  // and its bytes.  One flipped bit inside slot 0's payload is rejected.
+  write_checkpoint_file(path, ck);
+  xor_byte(8 + 4 * 8 + 8 + 20, 0x04);
+  EXPECT_THROW(read_checkpoint_file(path), Error);
+
+  // So is a v1 file, by name: its FNV-1a checksum cannot be verified.
+  write_checkpoint_file(path, ck);
+  xor_byte(7, '2' ^ '1');  // MSCCKPT2 -> MSCCKPT1
+  try {
+    read_checkpoint_file(path);
+    FAIL() << "a v1 checkpoint must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Checkpoint, CkptEveryFromEnv) {
