@@ -3,6 +3,7 @@
 // Runtime grid storage: one aligned, halo-padded buffer per sliding-window
 // slot of a tensor.  Rank-generic (1-3 D) via precomputed strides; the hot
 // sweep loops in the executors use raw pointers + these strides.
+// Page backing of the slots is AlignedBuffer's policy (support/buffer.hpp).
 
 #include <algorithm>
 #include <array>
@@ -15,13 +16,6 @@
 #include "support/buffer.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
-
-#ifdef __linux__
-#include <sys/mman.h>
-#ifndef MADV_COLLAPSE
-#define MADV_COLLAPSE 25  // kernel ≥ 6.1; absent from older glibc headers
-#endif
-#endif
 
 namespace msc::exec {
 
@@ -64,7 +58,6 @@ class GridStorage {
       slots_.emplace_back(static_cast<std::size_t>(padded) * sizeof(T) +
                           static_cast<std::size_t>(s) * kSlotStaggerBytes +
                           kPageBytes);
-    for (int s = 0; s < slots(); ++s) advise_hugepages(s);
   }
 
   // Payload lives at a page-aligned offset that depends on each buffer's
@@ -79,10 +72,8 @@ class GridStorage {
         padded_points_(other.padded_points_) {
     slots_.reserve(other.slots_.size());
     for (const auto& buf : other.slots_) slots_.emplace_back(buf.size());
-    for (int s = 0; s < slots(); ++s) {
-      advise_hugepages(s);
+    for (int s = 0; s < slots(); ++s)
       std::copy_n(other.slot_data(s), padded_points_, slot_data(s));
-    }
   }
   GridStorage& operator=(const GridStorage& other) {
     if (this != &other) {
@@ -215,28 +206,6 @@ class GridStorage {
   }
 
  private:
-  /// Large slots want 2 MiB TLB entries: a sweep streams several planes from
-  /// every ring slot at once, and when the allocator hands back recycled
-  /// 4 KiB-paged memory the page walks cost ~25% of sweep throughput.
-  /// MADV_HUGEPAGE covers pages not yet faulted, MADV_COLLAPSE converts
-  /// recycled ones; both are best-effort and free to fail (old kernels,
-  /// THP disabled) — correctness never depends on them.
-  void advise_hugepages(int slot) {
-#ifdef __linux__
-    constexpr std::size_t kHugeBytes = std::size_t{2} << 20;
-    auto& buf = slots_[static_cast<std::size_t>(slot)];
-    if (buf.size() < kHugeBytes) return;
-    auto lo = reinterpret_cast<std::uintptr_t>(buf.data());
-    auto hi = lo + buf.size();
-    lo = (lo + kPageBytes - 1) & ~(kPageBytes - 1);
-    hi &= ~(kPageBytes - 1);
-    if (lo >= hi) return;
-    void* base = reinterpret_cast<void*>(lo);
-    (void)::madvise(base, hi - lo, MADV_HUGEPAGE);
-    (void)::madvise(base, hi - lo, MADV_COLLAPSE);
-#endif
-  }
-
   std::byte* slot_base(int slot) const {
     const auto s = static_cast<std::size_t>(slot);
     auto base = reinterpret_cast<std::uintptr_t>(slots_[s].data());

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "prof/counters.hpp"
+#include "support/buffer.hpp"
 #include "support/strings.hpp"
 
 namespace msc::prof {
@@ -48,6 +49,9 @@ workload::Json BenchReport::to_json() const {
   Json& config = root["config"];
   config = Json::object();
   for (const auto& [k, v] : config_) config[k] = Json::string(v);
+  Json& host = root["host"];
+  host = Json::object();
+  host["thp"] = Json::string(transparent_hugepage_mode());
   Json& counters = root["counters"];
   counters = Json::object();
   for (const auto& [k, v] : counters_) counters[k] = Json::integer(v);

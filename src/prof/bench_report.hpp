@@ -10,10 +10,17 @@
 //     "name": "<bench name>",
 //     "workload": "<stencil/workload id>",
 //     "config": { "<key>": "<value>", ... },
+//     "host": { "thp": "<always|madvise|never|unavailable>" },
 //     "counters": { "<counter name>": <int64>, ... },
 //     "results": [ <bench-specific objects> ],
 //     "wall_seconds": <double>
 //   }
+//
+// `config` identifies the run: prof::config_hash keys the bench-history
+// ledgers by it.  `host` records facts about the machine that explain a
+// result without re-keying those ledgers — "thp" is the transparent huge
+// page mode, which decides whether large grids get 2 MiB pages
+// (support/buffer.hpp).
 //
 // Output directory: $MSC_BENCH_DIR when set, else the repo root compiled in
 // as MSC_BENCH_DEFAULT_DIR (so reports land somewhere stable by default),

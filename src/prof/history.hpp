@@ -35,7 +35,9 @@ struct HistoryEntry {
   std::vector<std::pair<std::string, double>> metrics;  ///< insertion order
 };
 
-/// FNV-1a over name, workload, and every config key=value pair (hex).
+/// FNV-1a over name, workload, and every config key=value pair (hex).  The
+/// report's `host` object is not hashed: host facts explain a result but
+/// must not re-key the ledgers.
 std::string config_hash(const workload::Json& bench_report);
 
 /// Flattens a msc-bench-v1 report: every numeric field of every results row

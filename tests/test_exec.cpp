@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "dsl/program.hpp"
 #include "exec/eval.hpp"
@@ -88,6 +90,24 @@ TEST(GridStorage, FillRandomDeterministic) {
   EXPECT_DOUBLE_EQ(a.at(0, {3, 3, 0}), b.at(0, {3, 3, 0}));
   b.fill_random(0, 43);
   EXPECT_NE(a.at(0, {3, 3, 0}), b.at(0, {3, 3, 0}));
+}
+
+TEST(GridStorage, LargeGridIsZeroEverywhereAndSlotsAreDisjoint) {
+  // 130³ f64 slots (128³ plus halos) are on the mapped, pre-faulted path.
+  auto t = ir::make_sp_tensor("B", ir::DataType::f64, {128, 128, 128}, 1, 3);
+  GridStorage<double> g(t);
+  ASSERT_EQ(g.padded_points(), 130 * 130 * 130);
+  const auto bytes = static_cast<std::size_t>(g.padded_points()) * sizeof(double);
+  for (int s = 0; s < g.slots(); ++s) {
+    const double* d = g.slot_data(s);
+    EXPECT_TRUE(std::all_of(d, d + g.padded_points(), [](double v) { return v == 0.0; }))
+        << "slot " << s;
+    const auto lo = reinterpret_cast<std::uintptr_t>(d);
+    for (int o = 0; o < s; ++o) {
+      const auto other = reinterpret_cast<std::uintptr_t>(g.slot_data(o));
+      EXPECT_TRUE(lo + bytes <= other || other + bytes <= lo) << "slots " << o << " and " << s;
+    }
+  }
 }
 
 TEST(MaxRelativeError, DetectsDifference) {

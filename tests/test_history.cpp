@@ -10,6 +10,7 @@
 
 #include "prof/bench_report.hpp"
 #include "prof/history.hpp"
+#include "support/buffer.hpp"
 #include "support/error.hpp"
 #include "workload/report.hpp"
 
@@ -63,6 +64,29 @@ TEST(History, ConfigHashSeparatesConfigurations) {
   const auto c = config_hash(make_report(0.1, 40.0, "64x64x64"));
   EXPECT_EQ(a, b);  // results don't affect the hash, only name/workload/config
   EXPECT_NE(a, c);
+}
+
+TEST(History, ConfigHashIsPinnedAndIgnoresHost) {
+  // Changing this hash re-keys every bench/history ledger and empties
+  // every gate's baseline window.
+  Json doc = make_report(0.1, 40.0);
+  EXPECT_EQ(config_hash(doc), "7ae0e66d7591b455");
+  doc["host"] = Json::object();
+  doc["host"]["thp"] = Json::string("madvise");
+  EXPECT_EQ(config_hash(doc), "7ae0e66d7591b455");
+}
+
+TEST(History, BenchReportRecordsHostOutsideTheHashedConfig) {
+  BenchReport report("unit_hist", "3d7pt_star");
+  report.set_config("grid", "32x32x32");
+  report.set_config("steps", "4");
+  const Json doc = Json::parse(report.to_json().dump());
+  const Json* host = doc.find("host");
+  ASSERT_NE(host, nullptr);
+  ASSERT_NE(host->find("thp"), nullptr);
+  EXPECT_EQ(host->find("thp")->as_string(), transparent_hugepage_mode());
+  EXPECT_EQ(doc.find("config")->find("thp"), nullptr);
+  EXPECT_EQ(config_hash(doc), config_hash(make_report(0.1, 40.0)));
 }
 
 TEST(History, EntryJsonRoundTrips) {

@@ -2,11 +2,18 @@
 // string utilities, table rendering, thread pool.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/buffer.hpp"
@@ -39,34 +46,205 @@ TEST(Error, FailAlwaysThrows) {
   EXPECT_THROW(MSC_FAIL() << "boom", Error);
 }
 
+constexpr std::size_t kHuge = AlignedBuffer::kHugePageBytes;
+
+/// Sizes on both sides of the mapped-buffer threshold, and a box2d-sweep
+/// ring slot (1034² f64 plus the slot stagger and page slack).
+const std::vector<std::size_t> kBufferSizes = {0,        1,        63,       kHuge - 1,
+                                               kHuge,    kHuge + 1, 8'550'000};
+
+std::size_t round_up(std::size_t n, std::size_t to) { return (n + to - 1) / to * to; }
+
+bool all_bytes_are(const AlignedBuffer& buf, std::uint8_t value) {
+  const auto bytes = buf.as<std::uint8_t>();
+  return std::all_of(bytes.begin(), bytes.end(), [&](std::uint8_t b) { return b == value; });
+}
+
+void fill_pattern(AlignedBuffer& buf, std::uint8_t seed) {
+  auto bytes = buf.as<std::uint8_t>();
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(seed + i * 31);
+}
+
+bool same_bytes(const AlignedBuffer& a, const AlignedBuffer& b) {
+  return a.size() == b.size() && (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
 TEST(AlignedBuffer, ZeroInitializedAndAligned) {
-  AlignedBuffer buf(1000);
-  EXPECT_EQ(buf.size(), 1000u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % AlignedBuffer::kAlignment, 0u);
-  for (auto b : buf.as<std::uint8_t>()) EXPECT_EQ(b, 0u);
+  for (const std::size_t size : kBufferSizes) {
+    SCOPED_TRACE(size);
+    AlignedBuffer buf(size);
+    EXPECT_EQ(buf.size(), size);
+    EXPECT_EQ(buf.empty(), size == 0);
+    if (size == 0) continue;
+    const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+    EXPECT_EQ(addr % AlignedBuffer::kAlignment, 0u);
+    if (size >= kHuge) {
+      EXPECT_EQ(addr % kHuge, 0u);
+    }
+    EXPECT_TRUE(all_bytes_are(buf, 0));
+    std::memset(buf.data(), 0xff, size);  // every byte is writable
+    EXPECT_TRUE(all_bytes_are(buf, 0xff));
+  }
+}
+
+TEST(AlignedBuffer, LiveBuffersNeverOverlap) {
+  std::vector<AlignedBuffer> bufs;
+  for (int round = 0; round < 3; ++round)
+    for (const std::size_t size : kBufferSizes) bufs.emplace_back(size);
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> ranges;
+  for (std::size_t i = 0; i < bufs.size(); ++i) {
+    if (bufs[i].empty()) continue;
+    fill_pattern(bufs[i], static_cast<std::uint8_t>(i));
+    const auto lo = reinterpret_cast<std::uintptr_t>(bufs[i].data());
+    ranges.emplace_back(lo, lo + bufs[i].size());
+  }
+  std::sort(ranges.begin(), ranges.end());
+  for (std::size_t i = 1; i < ranges.size(); ++i) EXPECT_LE(ranges[i - 1].second, ranges[i].first);
+  for (std::size_t i = 0; i < bufs.size(); ++i) {
+    if (bufs[i].empty()) continue;
+    AlignedBuffer expect(bufs[i].size());
+    fill_pattern(expect, static_cast<std::uint8_t>(i));
+    EXPECT_TRUE(same_bytes(bufs[i], expect)) << "buffer " << i << " was overwritten";
+  }
 }
 
 TEST(AlignedBuffer, CopyIsDeep) {
-  AlignedBuffer a(64);
-  a.as<std::int32_t>()[0] = 7;
-  AlignedBuffer b = a;
-  b.as<std::int32_t>()[0] = 9;
-  EXPECT_EQ(a.as<std::int32_t>()[0], 7);
-  EXPECT_EQ(b.as<std::int32_t>()[0], 9);
+  for (const std::size_t size : {std::size_t{64}, kHuge, kHuge + 1}) {
+    SCOPED_TRACE(size);
+    AlignedBuffer a(size);
+    fill_pattern(a, 7);
+    AlignedBuffer b = a;
+    EXPECT_NE(b.data(), a.data());
+    EXPECT_TRUE(same_bytes(a, b));
+    b.as<std::uint8_t>()[size - 1] ^= 0xff;
+    EXPECT_FALSE(same_bytes(a, b));  // writing the copy leaves the source alone
+    b.as<std::uint8_t>()[size - 1] ^= 0xff;
+
+    AlignedBuffer c(size / 2 + 3);  // assignment replaces a differently sized buffer
+    c = a;
+    EXPECT_TRUE(same_bytes(a, c));
+    const AlignedBuffer& alias = c;
+    c = alias;  // self-assignment keeps the contents
+    EXPECT_TRUE(same_bytes(a, c));
+  }
 }
 
 TEST(AlignedBuffer, MoveTransfersOwnership) {
-  AlignedBuffer a(64);
-  a.as<std::int32_t>()[0] = 5;
-  AlignedBuffer b = std::move(a);
-  EXPECT_EQ(b.as<std::int32_t>()[0], 5);
-  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  for (const std::size_t size : {std::size_t{64}, kHuge + 1}) {
+    SCOPED_TRACE(size);
+    AlignedBuffer a(size);
+    fill_pattern(a, 5);
+    const AlignedBuffer expect = a;
+    const std::byte* storage = a.data();
+    AlignedBuffer b = std::move(a);
+    EXPECT_EQ(b.data(), storage);
+    EXPECT_TRUE(same_bytes(b, expect));
+    EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+
+    AlignedBuffer c(kHuge);  // move-assignment releases c's own mapping
+    c = std::move(b);
+    EXPECT_EQ(c.data(), storage);
+    AlignedBuffer& alias = c;
+    c = std::move(alias);  // self-move keeps the buffer
+    EXPECT_TRUE(same_bytes(c, expect));
+  }
 }
 
 TEST(AlignedBuffer, EmptyBufferIsSafe) {
   AlignedBuffer buf;
   EXPECT_TRUE(buf.empty());
   buf.fill_zero();  // no-op, no crash
+}
+
+/// What /proc/self/smaps reports for the mappings that overlap
+/// [data, data + bytes).
+struct Residency {
+  std::size_t rss_bytes = 0;
+  std::size_t huge_bytes = 0;  ///< AnonHugePages
+};
+
+Residency residency(const std::byte* data, std::size_t bytes) {
+  const auto lo = reinterpret_cast<std::uintptr_t>(data);
+  const auto hi = lo + bytes;
+  std::ifstream smaps("/proc/self/smaps");
+  Residency r;
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    unsigned long start = 0, end = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &start, &end) == 2) {
+      inside = start < hi && end > lo;
+      continue;
+    }
+    std::size_t kib = 0;
+    if (!inside) continue;
+    if (std::sscanf(line.c_str(), "Rss: %zu kB", &kib) == 1) r.rss_bytes += kib * 1024;
+    if (std::sscanf(line.c_str(), "AnonHugePages: %zu kB", &kib) == 1) r.huge_bytes += kib * 1024;
+  }
+  return r;
+}
+
+/// The machine-wide count of page faults that asked for a transparent huge
+/// page and fell back to 4 KiB pages (/proc/vmstat thp_fault_fallback), or
+/// -1 where it cannot be read.
+long long thp_fault_fallbacks() {
+  std::ifstream vmstat("/proc/vmstat");
+  std::string key;
+  long long value = 0;
+  while (vmstat >> key >> value)
+    if (key == "thp_fault_fallback") return value;
+  return -1;
+}
+
+TEST(AlignedBuffer, LargeBuffersAreOnHugePagesAtConstruction) {
+  const std::string mode = transparent_hugepage_mode();
+  if (mode == "never" || mode == "unavailable")
+    GTEST_SKIP() << "transparent huge pages are '" << mode << "' on this host";
+  // A huge page at fault time is best effort: under fragmentation or a
+  // memory-cgroup charge failure the kernel falls back to 4 KiB pages,
+  // which the allocator accepts.  Such a fallback (counted machine-wide)
+  // excuses a missing huge page; the residency bound holds regardless.
+  int allocations = 0, fell_back = 0;
+  for (const std::size_t size : {kHuge, kHuge + 1, std::size_t{8'550'000}}) {
+    // The second buffer is allocated just after the first is freed.
+    for (int pass = 0; pass < 2; ++pass, ++allocations) {
+      SCOPED_TRACE(testing::Message() << size << " bytes, pass " << pass);
+      const long long fallbacks_before = thp_fault_fallbacks();
+      AlignedBuffer buf(size);
+      const Residency r = residency(buf.data(), size);
+      EXPECT_LE(r.rss_bytes, round_up(size, 4096)) << "residency rounded past the buffer";
+      if (fallbacks_before >= 0 && thp_fault_fallbacks() > fallbacks_before) {
+        ++fell_back;
+        continue;
+      }
+      EXPECT_GE(r.huge_bytes, size / kHuge * kHuge) << "a whole 2 MiB page is not THP-backed";
+    }
+  }
+  if (fell_back > 0)
+    GTEST_SKIP() << "the kernel fell back to 4 KiB pages (thp_fault_fallback rose) during "
+                 << fell_back << " of " << allocations << " allocations; their huge-page check was not made";
+}
+
+TEST(AlignedBuffer, FirstWritePassTakesNoPageFaults) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory faults on first access";
+#endif
+  for (const std::size_t size : {kHuge, kHuge + 1, std::size_t{8'550'000}}) {
+    SCOPED_TRACE(size);
+    AlignedBuffer buf(size);
+    rusage before{}, after{};
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+    std::memset(buf.data(), 0x5a, size);
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+    EXPECT_EQ(after.ru_minflt - before.ru_minflt, 0) << "set-up left pages unfaulted";
+    EXPECT_TRUE(all_bytes_are(buf, 0x5a));
+  }
+}
+
+TEST(AlignedBuffer, TransparentHugepageModeIsAKnownWord) {
+  const std::string mode = transparent_hugepage_mode();
+  EXPECT_TRUE(mode == "always" || mode == "madvise" || mode == "never" || mode == "unavailable")
+      << mode;
 }
 
 TEST(Rng, Deterministic) {

@@ -386,15 +386,27 @@ TEST(GridRows, ZeroHaloClearsExactlyTheHalo) {
 TEST(GridStorageCopy, CopyPreservesPayloadBitwise) {
   // Regression: slot payloads live at a page-aligned, address-dependent
   // offset; a byte-for-byte buffer copy silently shifted the data.
-  auto t = ir::make_sp_tensor("B", ir::DataType::f64, {9, 11}, 2, 3);
-  GridStorage<double> g(t);
-  for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 100 + static_cast<std::uint64_t>(s));
-  GridStorage<double> copy = g;
-  for (int s = 0; s < g.slots(); ++s)
-    EXPECT_EQ(copy.interior_values(s), g.interior_values(s)) << "slot " << s;
-  GridStorage<double> assigned(t);
-  assigned = g;
-  EXPECT_EQ(assigned.interior_values(2), g.interior_values(2));
+  // Small slots (a heap allocation each) and 2 MiB-aligned mapped ones;
+  // the payload compare covers the halos.  Several live copies make it
+  // likely that some land at another offset modulo the page.
+  for (const std::int64_t n : {std::int64_t{9}, std::int64_t{600}}) {
+    SCOPED_TRACE(n);
+    auto t = ir::make_sp_tensor("B", ir::DataType::f64, {n, n + 2}, 2, 3);
+    GridStorage<double> g(t);
+    for (int s = 0; s < g.slots(); ++s) {
+      double* d = g.slot_data(s);
+      for (std::int64_t p = 0; p < g.padded_points(); ++p) d[p] = static_cast<double>(p * 3 + s);
+    }
+    const auto payload = [](const GridStorage<double>& grid, int s) {
+      return std::vector<double>(grid.slot_data(s), grid.slot_data(s) + grid.padded_points());
+    };
+    std::vector<GridStorage<double>> copies(4, g);
+    for (const auto& copy : copies)
+      for (int s = 0; s < g.slots(); ++s) EXPECT_EQ(payload(copy, s), payload(g, s)) << "slot " << s;
+    GridStorage<double> assigned(t);
+    assigned = g;
+    EXPECT_EQ(payload(assigned, 2), payload(g, 2));
+  }
 }
 
 }  // namespace
